@@ -129,32 +129,42 @@ KnnHeap::KnnHeap(std::size_t k) : k_(k) {
   entries_.reserve(k);
 }
 
-bool KnnHeap::offer(Scalar dist, PointId id) {
-  // Lexicographic (dist, id) order makes the retained set *deterministic*:
-  // whatever order candidates arrive in, the heap keeps exactly the k
-  // smallest (dist, id) pairs — ties between equidistant points always
-  // resolve toward the lower point id (the differential-test contract).
-  const auto cmp = [](const Entry& a, const Entry& b) {
-    return a.dist != b.dist ? a.dist < b.dist : a.id < b.id;
-  };
+namespace {
+
+// Lexicographic (dist, id) order makes the retained set *deterministic*:
+// whatever order candidates arrive in, the heap keeps exactly the k smallest
+// (dist, id) pairs — ties between equidistant points always resolve toward
+// the lower point id (the differential-test contract).
+bool entry_less(const KnnHeap::Entry& a, const KnnHeap::Entry& b) noexcept {
+  return a.dist != b.dist ? a.dist < b.dist : a.id < b.id;
+}
+
+}  // namespace
+
+void KnnHeap::admit(Scalar dist, PointId id) {
+  const Entry e{dist, id};
   if (!full()) {
-    entries_.push_back({dist, id});
-    std::push_heap(entries_.begin(), entries_.end(), cmp);
-    return true;
+    entries_.push_back(e);
+    std::push_heap(entries_.begin(), entries_.end(), entry_less);
+    return;
   }
-  const Entry& top = entries_.front();
-  if (dist > top.dist || (dist == top.dist && id >= top.id)) return false;
-  std::pop_heap(entries_.begin(), entries_.end(), cmp);
-  entries_.back() = {dist, id};
-  std::push_heap(entries_.begin(), entries_.end(), cmp);
-  return true;
+  // Replace-top: the evicted top's slot sifts down along the larger child
+  // until `e` dominates both children — one O(log k) pass per accepted
+  // candidate.
+  const std::size_t n = entries_.size();
+  std::size_t hole = 0;
+  for (std::size_t child = 1; child < n; child = 2 * hole + 1) {
+    if (child + 1 < n && entry_less(entries_[child], entries_[child + 1])) ++child;
+    if (!entry_less(e, entries_[child])) break;
+    entries_[hole] = entries_[child];
+    hole = child;
+  }
+  entries_[hole] = e;
 }
 
 std::vector<KnnHeap::Entry> KnnHeap::sorted() const {
   std::vector<Entry> out = entries_;
-  std::sort(out.begin(), out.end(), [](const Entry& a, const Entry& b) {
-    return a.dist != b.dist ? a.dist < b.dist : a.id < b.id;
-  });
+  std::sort(out.begin(), out.end(), entry_less);
   return out;
 }
 

@@ -84,6 +84,16 @@ Sphere sphere_from_diameter(std::span<const Scalar> a, std::span<const Scalar> b
 /// Bounded max-heap of the k best (smallest-distance) candidates seen so far.
 /// This is the CPU mirror of the k pruning distances the paper keeps in GPU
 /// shared memory; `bound()` is the current pruning distance.
+///
+/// The retained set is exactly the k smallest (dist, id) pairs offered, in
+/// any arrival order. Most offers to a full list lose, so offer() tests the
+/// candidate against the top inline and only a winner reaches the
+/// out-of-line replace-top sift-down. Callers holding a squared distance can
+/// reject before the square root: for a full list with a finite top,
+/// U = nextafter(top.dist, +inf) squared is exact in double (a float has 24
+/// significant bits), sqrt is correctly rounded and float rounding is
+/// monotone, so acc >= U*U gives float(sqrt(acc)) >= U > top.dist — a
+/// candidate offer() would reject. SharedKnnList::scan_leaf relies on this.
 class KnnHeap {
  public:
   explicit KnnHeap(std::size_t k);
@@ -96,7 +106,14 @@ class KnnHeap {
   Scalar bound() const noexcept { return full() ? entries_.front().dist : kInfinity; }
 
   /// Offer a candidate; returns true if it entered the heap.
-  bool offer(Scalar dist, PointId id);
+  bool offer(Scalar dist, PointId id) {
+    if (full()) {
+      const Entry& top = entries_.front();
+      if (dist > top.dist || (dist == top.dist && id >= top.id)) return false;
+    }
+    admit(dist, id);
+    return true;
+  }
 
   /// Tighten the pruning bound without adding a point (MINMAXDIST guarantee
   /// that *some* point exists within `dist`). Only lowers an infinite bound
@@ -121,6 +138,10 @@ class KnnHeap {
   std::vector<Entry> sorted() const;
 
  private:
+  /// Insert a candidate offer() accepted: push while filling, else replace
+  /// the top and sift it down.
+  void admit(Scalar dist, PointId id);
+
   std::size_t k_;
   Scalar external_bound_ = kInfinity;
   std::vector<Entry> entries_;  // max-heap on dist

@@ -1,5 +1,8 @@
 #include "common/points.hpp"
 
+#include <cmath>
+#include <sstream>
+
 namespace psb {
 
 PointSet::PointSet(std::size_t dims, std::vector<Scalar> data) : dims_(dims), data_(std::move(data)) {
@@ -22,6 +25,17 @@ PointSet PointSet::subset(std::span<const PointId> ids) const {
     out.append((*this)[id]);
   }
   return out;
+}
+
+void require_finite(const PointSet& points, const char* what) {
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    for (const Scalar x : points[i]) {
+      if (std::isfinite(x)) continue;
+      std::ostringstream os;
+      os << what << ' ' << i << " has a non-finite coordinate (" << x << ')';
+      throw InvalidArgument(os.str());
+    }
+  }
 }
 
 }  // namespace psb

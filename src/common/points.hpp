@@ -59,4 +59,9 @@ class PointSet {
   std::vector<Scalar> data_;
 };
 
+/// Throw InvalidArgument naming the first point of `points` with a NaN or
+/// infinite coordinate, as "<what> <index> ...". Query entry points call it:
+/// the traversals assume finite distances.
+void require_finite(const PointSet& points, const char* what);
+
 }  // namespace psb

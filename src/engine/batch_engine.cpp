@@ -124,6 +124,7 @@ BatchEngine::BatchEngine(const sstree::SSTree& tree, BatchEngineOptions opts)
 
 knn::BatchResult BatchEngine::run(const PointSet& queries) const {
   PSB_REQUIRE(queries.dims() == tree_.dims(), "query dimensionality mismatch");
+  require_finite(queries, "query");
 
   obs::Registry& reg = obs::Registry::global();
   reg.add("engine.batches", 1);

@@ -167,7 +167,8 @@ class BatchEngine {
   const layout::ImplicitLayout* implicit_layout() const noexcept { return implicit_.get(); }
 
   /// Answer a batch. Emits per-query traces to the active obs session (if
-  /// any) under the algorithm's name.
+  /// any) under the algorithm's name. Throws InvalidArgument naming the
+  /// first query with a NaN or infinite coordinate.
   knn::BatchResult run(const PointSet& queries) const;
 
   struct TracedRun {

@@ -91,9 +91,8 @@ class SkipPointerExecutor final : public Executor {
       if (n.is_leaf()) {
         ++st.leaves_visited;
         pre_leaf = *metrics_;  // fetch phase ends; the leaf reduction is compute
-        const std::vector<Scalar> dists = knn::detail::leaf_distances(block_, tree_, n, q_);
-        st.points_examined += dists.size();
-        st.heap_inserts += list_.offer_batch(dists, n.points);
+        st.points_examined += n.points.size();
+        st.heap_inserts += list_.scan_leaf(n, q_);
         cur_ = n.skip;
         ++st.leaf_scans;
         yielded = true;  // suspend after the leaf reduction
@@ -182,9 +181,8 @@ class ImplicitStacklessExecutor final : public Executor {
       if (n.is_leaf()) {
         ++st.leaves_visited;
         pre_leaf = *metrics_;  // fetch phase ends; the leaf reduction is compute
-        const std::vector<Scalar> dists = knn::detail::leaf_distances(block_, tree_, n, q_);
-        st.points_examined += dists.size();
-        st.heap_inserts += list_.offer_batch(dists, n.points);
+        st.points_examined += n.points.size();
+        st.heap_inserts += list_.scan_leaf(n, q_);
         slot_ = lay_.escape(slot_);
         ++st.leaf_scans;
         yielded = true;  // suspend after the leaf reduction

@@ -561,8 +561,6 @@ void JoinEngine::pair_walk(Cohort& cohort, simt::Metrics& m) {
   };
   std::vector<Frame> frontier{{tree_.root(), 0}};
   std::vector<std::size_t> eligible;
-  std::vector<Scalar> scratch_d;
-  std::vector<PointId> scratch_i;
   while (!frontier.empty()) {
     std::pop_heap(frontier.begin(), frontier.end(), frame_after);
     const Frame f = frontier.back();
@@ -593,22 +591,9 @@ void JoinEngine::pair_walk(Cohort& cohort, simt::Metrics& m) {
           ++cohort.ev[kEvLeafRefineSkips];
           continue;
         }
-        const std::vector<Scalar> dists = knn::detail::leaf_distances(block, tree_, n, q);
         qstats[i].points_examined += pts;
-        std::size_t accepted = 0;
-        if (cohort.exclude) {
-          scratch_d.clear();
-          scratch_i.clear();
-          for (std::size_t p = 0; p < pts; ++p) {
-            if (n.points[p] == cohort.query_ids[i]) continue;
-            scratch_d.push_back(dists[p]);
-            scratch_i.push_back(n.points[p]);
-          }
-          accepted = lists[i].offer_batch(scratch_d, scratch_i);
-        } else {
-          accepted = lists[i].offer_batch(dists, n.points);
-        }
-        qstats[i].heap_inserts += accepted;
+        qstats[i].heap_inserts += lists[i].scan_leaf(
+            n, q, cohort.exclude ? cohort.query_ids[i] : kInvalidPoint);
       }
     } else {
       const PairBounds pb = pair_child_bounds(block, tree_, n, cohort.sphere);

@@ -113,7 +113,7 @@ void best_first_gpu_run(simt::Block& block, const sstree::SSTree& tree,
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> pq;
   pq.push({0, tree.root()});
   std::size_t pq_peak = 1;
-  const std::size_t d = tree.dims();
+  detail::ChildBounds cb;
   const auto log_cost = [&](std::size_t size) {
     return static_cast<std::uint64_t>(std::bit_width(std::max<std::size_t>(size, 1)));
   };
@@ -134,13 +134,11 @@ void best_first_gpu_run(simt::Block& block, const sstree::SSTree& tree,
     ++out.stats.nodes_visited;
     if (n.is_leaf()) {
       ++out.stats.leaves_visited;
-      const std::vector<Scalar> dists = detail::leaf_distances(block, tree, n, q);
-      out.stats.points_examined += dists.size();
-      out.stats.heap_inserts += list.offer_batch(dists, n.points);
+      out.stats.points_examined += n.points.size();
+      out.stats.heap_inserts += list.scan_leaf(n, q);
       continue;
     }
-    const detail::ChildBounds cb =
-        detail::child_bounds(block, tree, n, q, /*need_max=*/false);
+    detail::child_bounds(block, tree, n, q, /*need_max=*/false, cb);
     for (std::size_t i = 0; i < cb.mindist.size(); ++i) {
       if (cb.mindist[i] < list.pruning_distance()) {
         pq.push({cb.mindist[i], n.children[i]});

@@ -1,5 +1,6 @@
 #include "knn/branch_and_bound.hpp"
 
+#include <deque>
 #include <numeric>
 
 #include "knn/detail/traversal_common.hpp"
@@ -9,8 +10,14 @@ namespace {
 
 using detail::child_bounds;
 using detail::fetch_node;
-using detail::leaf_distances;
 using detail::tighten_with_minmax;
+
+/// Scratch of one recursion level: the node's child bounds and its visiting
+/// order stay live while the children below it are visited.
+struct BnbFrame {
+  detail::ChildBounds cb;
+  std::vector<std::size_t> order;
+};
 
 struct BnbContext {
   simt::Block& block;
@@ -22,6 +29,7 @@ struct BnbContext {
   const GpuKnnOptions& opts;
   bool minmax_tighten;
   detail::SnapshotFetch* snap;
+  std::deque<BnbFrame> frames;  // one per depth; deque keeps references stable
 };
 
 /// Cooperative budget check at every recursion step: a true return unwinds
@@ -32,7 +40,7 @@ bool bnb_out_of_budget(BnbContext& ctx) {
   return true;
 }
 
-void bnb_visit(BnbContext& ctx, NodeId id) {
+void bnb_visit(BnbContext& ctx, NodeId id, std::size_t depth) {
   if (bnb_out_of_budget(ctx)) return;
   const sstree::Node& n = ctx.tree.node(id);
   fetch_node(ctx.block, ctx.tree, n, simt::Access::kRandom, ctx.snap);
@@ -40,28 +48,29 @@ void bnb_visit(BnbContext& ctx, NodeId id) {
 
   if (n.is_leaf()) {
     ++ctx.st.leaves_visited;
-    const std::vector<Scalar> dists = leaf_distances(ctx.block, ctx.tree, n, ctx.q);
-    ctx.st.points_examined += dists.size();
-    ctx.st.heap_inserts += ctx.list.offer_batch(dists, n.points);
+    ctx.st.points_examined += n.points.size();
+    ctx.st.heap_inserts += ctx.list.scan_leaf(n, ctx.q);
     return;
   }
 
-  detail::ChildBounds cb =
-      child_bounds(ctx.block, ctx.tree, n, ctx.q, /*need_max=*/ctx.minmax_tighten);
+  if (ctx.frames.size() <= depth) ctx.frames.emplace_back();
+  BnbFrame& frame = ctx.frames[depth];
+  detail::ChildBounds& cb = frame.cb;
+  child_bounds(ctx.block, ctx.tree, n, ctx.q, /*need_max=*/ctx.minmax_tighten, cb);
   if (ctx.minmax_tighten) tighten_with_minmax(ctx.block, ctx.list, cb.maxdist);
 
-  // Active branch list sorted by MINDIST (block-wide bitonic sort; the
-  // reduce_kth_min call charges exactly one full sort).
-  std::vector<std::size_t> order(n.children.size());
+  // Active branch list sorted by MINDIST (one block-wide bitonic sort).
+  std::vector<std::size_t>& order = frame.order;
+  order.resize(n.children.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::sort(order.begin(), order.end(),
             [&](std::size_t a, std::size_t b) { return cb.mindist[a] < cb.mindist[b]; });
-  ctx.block.reduce_kth_min(cb.mindist, 1);
+  ctx.block.charge_bitonic_sort(cb.mindist.size());
 
   for (const std::size_t idx : order) {
     if (bnb_out_of_budget(ctx)) return;
     if (!(cb.mindist[idx] < ctx.list.pruning_distance())) break;
-    bnb_visit(ctx, n.children[idx]);
+    bnb_visit(ctx, n.children[idx], depth + 1);
     if (ctx.out.budget_exhausted) return;  // skip the backtrack re-fetch too
     // Parent-link backtracking (§II-A): every return to this node re-fetches
     // it and re-computes/re-orders the child bounds to find the next
@@ -71,8 +80,8 @@ void bnb_visit(BnbContext& ctx, NodeId id) {
     fetch_node(ctx.block, ctx.tree, n, simt::Access::kCached, ctx.snap);
     ++ctx.st.nodes_visited;
     ++ctx.st.backtracks;
-    child_bounds(ctx.block, ctx.tree, n, ctx.q, /*need_max=*/false);
-    ctx.block.reduce_kth_min(cb.mindist, 1);  // charge the re-selection
+    detail::charge_child_bounds(ctx.block, ctx.tree, n, /*need_max=*/false);
+    ctx.block.charge_bitonic_sort(cb.mindist.size());  // the re-selection
   }
 }
 
@@ -82,9 +91,10 @@ void bnb_run(simt::Block& block, const sstree::SSTree& tree, std::span<const Sca
   SharedKnnList list(block, k_eff, opts.spill_heap_to_global);
   detail::seed_shared_bound(list, opts);
   detail::SnapshotFetch snap(tree, opts);
-  BnbContext ctx{block, tree, q, list, out, out.stats, opts, opts.bnb_minmax_tighten, &snap};
+  BnbContext ctx{block, tree, q, list, out, out.stats, opts, opts.bnb_minmax_tighten,
+                 &snap, {}};
   ++out.stats.restarts;  // the single root descent
-  bnb_visit(ctx, tree.root());
+  bnb_visit(ctx, tree.root(), 0);
   out.neighbors = list.sorted();
 }
 

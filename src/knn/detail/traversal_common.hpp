@@ -96,42 +96,58 @@ inline bool budget_exhausted(const GpuKnnOptions& opts, const TraversalStats& st
 
 /// MINDIST (and optionally MAXDIST) from the query to every child bounding
 /// sphere of internal node `n`, computed one-lane-per-child. The sphere math
-/// is the paper's §II-C: centroid distance ± radius.
+/// is the paper's §II-C: centroid distance ± radius. A traversal owns one
+/// ChildBounds per live node frame and reuses it, so the walk itself does not
+/// allocate once the buffers have grown to the widest node.
 struct ChildBounds {
   std::vector<Scalar> mindist;
-  std::vector<Scalar> maxdist;
+  std::vector<Scalar> maxdist;  // empty unless need_max
+  std::vector<double> acc;      // squared-distance accumulator (host scratch)
 };
 
-inline ChildBounds child_bounds(simt::Block& block, const sstree::SSTree& tree,
-                                const sstree::Node& n, std::span<const Scalar> query,
-                                bool need_max) {
+/// Charge the data-parallel bound step of child_bounds for internal node `n`
+/// without computing it.
+inline void charge_child_bounds(simt::Block& block, const sstree::SSTree& tree,
+                                const sstree::Node& n, bool need_max) {
+  const std::uint64_t d = tree.dims();
+  // Sphere bounds: one centroid distance, then +/- the radius (§II-C).
+  // Rectangle bounds: per-facet clamping — roughly twice the arithmetic and
+  // twice the fetched coordinates per child, the §II-C argument for spheres.
+  const std::uint64_t per_dim = tree.bounds_mode() == sstree::BoundsMode::kSphere ? 3 : 6;
+  block.par_for(n.children.size(), d * per_dim + (need_max ? 4 : 2), [](std::size_t) {});
+}
+
+inline void child_bounds(simt::Block& block, const sstree::SSTree& tree,
+                         const sstree::Node& n, std::span<const Scalar> query, bool need_max,
+                         ChildBounds& out) {
   const std::size_t c = n.children.size();
   const std::size_t d = tree.dims();
-  ChildBounds out;
+  charge_child_bounds(block, tree, n, need_max);
   out.mindist.resize(c);
-  if (need_max) out.maxdist.resize(c);
+  out.maxdist.resize(need_max ? c : 0);
 
   if (tree.bounds_mode() == sstree::BoundsMode::kSphere) {
-    // Sphere bounds: one centroid distance, then +/- the radius (§II-C).
-    const std::uint64_t ops = static_cast<std::uint64_t>(d) * 3 + (need_max ? 4 : 2);
-    block.par_for(c, ops, [&](std::size_t i) {
-      double acc = 0;
-      for (std::size_t t = 0; t < d; ++t) {
-        const double diff = static_cast<double>(query[t]) - n.child_centers[t * c + i];
-        acc += diff * diff;
+    // Dimension-outer accumulation so the child loop vectorizes; each child
+    // still sees the same double add sequence as a per-lane loop.
+    out.acc.assign(c, 0.0);
+    for (std::size_t t = 0; t < d; ++t) {
+      const double qt = query[t];
+      const Scalar* col = n.child_centers.data() + t * c;
+      for (std::size_t i = 0; i < c; ++i) {
+        const double diff = qt - col[i];
+        out.acc[i] += diff * diff;
       }
-      const Scalar center_dist = static_cast<Scalar>(std::sqrt(acc));
+    }
+    for (std::size_t i = 0; i < c; ++i) {
+      const Scalar center_dist = static_cast<Scalar>(std::sqrt(out.acc[i]));
       const Scalar r = n.child_radii[i];
       out.mindist[i] = std::max(Scalar{0}, center_dist - r);
       if (need_max) out.maxdist[i] = center_dist + r;
-    });
-    return out;
+    }
+    return;
   }
 
-  // Rectangle bounds: per-facet clamping — roughly twice the arithmetic and
-  // twice the fetched coordinates per child, the §II-C argument for spheres.
-  const std::uint64_t ops = static_cast<std::uint64_t>(d) * 6 + (need_max ? 4 : 2);
-  block.par_for(c, ops, [&](std::size_t i) {
+  for (std::size_t i = 0; i < c; ++i) {
     double min_acc = 0;
     double max_acc = 0;
     for (std::size_t t = 0; t < d; ++t) {
@@ -152,12 +168,12 @@ inline ChildBounds child_bounds(simt::Block& block, const sstree::SSTree& tree,
     }
     out.mindist[i] = static_cast<Scalar>(std::sqrt(min_acc));
     if (need_max) out.maxdist[i] = static_cast<Scalar>(std::sqrt(max_acc));
-  });
-  return out;
+  }
 }
 
 /// Distances from the query to every point of leaf `n` (one lane per point,
-/// reading the leaf's staged SoA coordinates).
+/// reading the leaf's staged SoA coordinates). For callers that need the
+/// distances themselves; a k-NN leaf visit is SharedKnnList::scan_leaf.
 inline std::vector<Scalar> leaf_distances(simt::Block& block, const sstree::SSTree& tree,
                                           const sstree::Node& n,
                                           std::span<const Scalar> query) {
@@ -188,11 +204,27 @@ inline void seed_shared_bound(SharedKnnList& list, const GpuKnnOptions& opts) no
 /// MAXDIST bounds the k-NN distance *provided* the node has at least k
 /// children (each non-empty child guarantees one point within its MAXDIST).
 /// Skipped otherwise to preserve exactness on small trees.
+///
+/// The selection is charged whenever it runs on the device, but computed on
+/// the host only when it can matter. With m = min(k-th distance, external
+/// bound) and P = pruning_distance() = nextafter(m), fewer than k children
+/// with maxdist < P means the k-th smallest maxdist exceeds m, so tighten()
+/// could not lower m — now or after later inserts, which only lower the k-th
+/// distance.
 inline void tighten_with_minmax(simt::Block& block, SharedKnnList& list,
                                 std::span<const Scalar> maxdist) {
-  if (maxdist.size() < list.k()) return;
-  const Scalar bound = block.reduce_kth_min(maxdist, list.k());
-  list.tighten(bound);
+  const std::size_t k = list.k();
+  if (maxdist.size() < k) return;
+  const Scalar prune = list.pruning_distance();
+  std::size_t below = 0;
+  for (std::size_t i = 0; i < maxdist.size() && below < k; ++i) {
+    if (maxdist[i] < prune) ++below;
+  }
+  if (below < k) {
+    block.charge_bitonic_sort(maxdist.size());
+    return;
+  }
+  list.tighten(block.reduce_kth_min(maxdist, k));
 }
 
 /// Resolve the data-parallel block width for a tree traversal. The paper's

@@ -8,8 +8,6 @@
 namespace psb::knn {
 namespace {
 
-using detail::leaf_distances;
-
 void implicit_run(simt::Block& block, const sstree::SSTree& tree, std::span<const Scalar> q,
                   const GpuKnnOptions& opts, QueryResult& out) {
   const layout::ImplicitLayout& lay = *opts.implicit;
@@ -56,9 +54,8 @@ void implicit_run(simt::Block& block, const sstree::SSTree& tree, std::span<cons
     }
     if (n.is_leaf()) {
       ++st.leaves_visited;
-      const std::vector<Scalar> dists = leaf_distances(block, tree, n, q);
-      st.points_examined += dists.size();
-      st.heap_inserts += list.offer_batch(dists, n.points);
+      st.points_examined += n.points.size();
+      st.heap_inserts += list.scan_leaf(n, q);
       slot = lay.escape(slot);
       ++st.leaf_scans;  // forward hop to the next preorder slot
     } else {

@@ -25,8 +25,10 @@ class PsbRun {
         out_(out),
         st_(out.stats),
         list_(block, std::min(opts.k, tree.data().size()), opts.spill_heap_to_global),
-        snap_(tree, opts),
-        touched_(tree.num_nodes(), 0) {
+        snap_(tree, opts) {
+    // Only the pointer path classifies fetches by first touch; the arena
+    // sessions classify by address.
+    if (!snap_) touched_.assign(tree.num_nodes(), 0);
     detail::seed_shared_bound(list_, opts);
     run();
     out.neighbors = list_.sorted();
@@ -87,9 +89,9 @@ class PsbRun {
         last_fetched_leaf_ = -2;
         return;
       }
-      const detail::ChildBounds cb = child_bounds(block_, tree_, n, q_, /*need_max=*/true);
-      tighten_with_minmax(block_, list_, cb.maxdist);
-      cur = n.children[block_.reduce_argmin(cb.mindist)];
+      child_bounds(block_, tree_, n, q_, /*need_max=*/true, cb_);
+      tighten_with_minmax(block_, list_, cb_.maxdist);
+      cur = n.children[block_.reduce_argmin(cb_.mindist)];
     }
   }
 
@@ -112,20 +114,20 @@ class PsbRun {
         if (out_of_budget()) return;
         const sstree::Node& n = tree_.node(cur);
         fetch(n);
-        const detail::ChildBounds cb = child_bounds(block_, tree_, n, q_, /*need_max=*/true);
-        tighten_with_minmax(block_, list_, cb.maxdist);
+        child_bounds(block_, tree_, n, q_, /*need_max=*/true, cb_);
+        tighten_with_minmax(block_, list_, cb_.maxdist);
         const Scalar prune = list_.pruning_distance();
 
         // Alg. 1 lines 16-26: leftmost child inside the pruning distance
         // whose subtree still has unscanned leaves — one predicate per lane,
         // then a ballot + ffs (charged by leftmost_set).
-        std::vector<std::uint8_t> qualifies(n.children.size());
+        qualifies_.resize(n.children.size());
         for (std::size_t i = 0; i < n.children.size(); ++i) {
-          qualifies[i] =
-              cb.mindist[i] < prune &&
+          qualifies_[i] =
+              cb_.mindist[i] < prune &&
               static_cast<std::int64_t>(tree_.node(n.children[i]).subtree_max_leaf) > visited;
         }
-        const std::size_t pick = simt::leftmost_set(block_, qualifies);
+        const std::size_t pick = simt::leftmost_set(block_, qualifies_);
         const bool found = pick < n.children.size();
         if (found) cur = n.children[pick];
         if (!found) {
@@ -149,9 +151,8 @@ class PsbRun {
         const sstree::Node& leaf = tree_.node(cur);
         fetch(leaf);
         ++st_.leaves_visited;
-        const std::vector<Scalar> dists = leaf_distances(block_, tree_, leaf, q_);
-        st_.points_examined += dists.size();
-        const std::size_t inserted = list_.offer_batch(dists, leaf.points);
+        st_.points_examined += leaf.points.size();
+        const std::size_t inserted = list_.scan_leaf(leaf, q_);
         st_.heap_inserts += inserted;
         visited = leaf.leaf_id;
 
@@ -179,8 +180,11 @@ class PsbRun {
   TraversalStats& st_;
   SharedKnnList list_;
   detail::SnapshotFetch snap_;
-  std::vector<char> touched_;
+  std::vector<char> touched_;  // pointer path only
   std::int64_t last_fetched_leaf_ = -2;
+  // Per-node scratch, reused down the whole walk.
+  detail::ChildBounds cb_;
+  std::vector<std::uint8_t> qualifies_;
 };
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include "knn/shared_heap.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <limits>
 
 #include "common/error.hpp"
 
@@ -27,22 +29,85 @@ std::size_t SharedKnnList::offer_batch(std::span<const Scalar> dists,
   for (std::size_t i = 0; i < dists.size(); ++i) {
     if (heap_.offer(dists[i], ids[i])) ++inserted;
   }
-  if (inserted > 0) {
-    // Block-parallel bitonic merge of (current list U accepted candidates):
-    // the standard way a thread block maintains a shared k-NN list. Cost is
-    // the full merge network over the next power of two of (k + batch).
-    const std::size_t width = std::bit_ceil(heap_.k() + dists.size());
-    const auto stages = static_cast<std::uint64_t>(std::bit_width(width) - 1);
-    block_.par_for(width / 2, stages * (stages + 1) / 2, [](std::size_t) {});
-    // One lane publishes the new pruning distance.
-    block_.serialize(1);
-    if (spill_) {
-      // Entries displaced from the shared head spill to the global tail.
-      block_.load_global(inserted * 2 * (sizeof(Scalar) + sizeof(PointId)),
-                         simt::Access::kRandom);
+  charge_merge(inserted, dists.size());
+  return inserted;
+}
+
+namespace {
+
+/// Squared-distance cut of the exact early reject (the argument is at
+/// KnnHeap): a candidate with `acc >= cut` would lose in KnnHeap::offer.
+/// NaN — which no comparison passes — while the list is still filling or its
+/// top is +inf, where offer() alone decides.
+double reject_cut(const KnnHeap& heap) noexcept {
+  const Scalar top = heap.bound();
+  if (!(top < kInfinity)) return std::numeric_limits<double>::quiet_NaN();
+  const double u = std::nextafter(top, kInfinity);
+  return u * u;
+}
+
+}  // namespace
+
+std::size_t SharedKnnList::scan_leaf(const sstree::Node& leaf, std::span<const Scalar> query,
+                                     PointId excluded_id) {
+  const std::size_t c = leaf.points.size();
+  const std::size_t d = query.size();
+  PSB_ASSERT(leaf.coords.size() == c * d, "leaf coordinates do not match the query dims");
+  const std::size_t offered =
+      excluded_id == kInvalidPoint
+          ? c
+          : c - static_cast<std::size_t>(
+                    std::count(leaf.points.begin(), leaf.points.end(), excluded_id));
+  // Modeled charges: one lane per point computes its distance (3 ops per
+  // dimension + sqrt), then every lane compares its candidate to the bound.
+  block_.par_for(c, static_cast<std::uint64_t>(d) * 3 + 1, [](std::size_t) {});
+  block_.par_for(offered, 1, [](std::size_t) {});
+
+  // Host work, a stack-sized chunk of points at a time: squared distances
+  // accumulate dimension-outer so the point loop vectorizes (each point
+  // still sees the same double add sequence), then one in-order offer pass.
+  constexpr std::size_t kChunk = 64;
+  std::size_t inserted = 0;
+  double cut = reject_cut(heap_);
+  for (std::size_t base = 0; base < c; base += kChunk) {
+    const std::size_t w = std::min(kChunk, c - base);
+    double acc[kChunk] = {};
+    for (std::size_t t = 0; t < d; ++t) {
+      const double qt = query[t];
+      const Scalar* col = leaf.coords.data() + t * c + base;
+      for (std::size_t i = 0; i < w; ++i) {
+        const double diff = qt - col[i];
+        acc[i] += diff * diff;
+      }
+    }
+    for (std::size_t i = 0; i < w; ++i) {
+      const PointId id = leaf.points[base + i];
+      if (id == excluded_id || acc[i] >= cut) continue;
+      if (heap_.offer(static_cast<Scalar>(std::sqrt(acc[i])), id)) {
+        ++inserted;
+        cut = reject_cut(heap_);
+      }
     }
   }
+  charge_merge(inserted, offered);
   return inserted;
+}
+
+void SharedKnnList::charge_merge(std::size_t inserted, std::size_t offered) {
+  if (inserted == 0) return;
+  // Block-parallel bitonic merge of (current list U accepted candidates):
+  // the standard way a thread block maintains a shared k-NN list. Cost is
+  // the full merge network over the next power of two of (k + batch).
+  const std::size_t width = std::bit_ceil(heap_.k() + offered);
+  const auto stages = static_cast<std::uint64_t>(std::bit_width(width) - 1);
+  block_.par_for(width / 2, stages * (stages + 1) / 2, [](std::size_t) {});
+  // One lane publishes the new pruning distance.
+  block_.serialize(1);
+  if (spill_) {
+    // Entries displaced from the shared head spill to the global tail.
+    block_.load_global(inserted * 2 * (sizeof(Scalar) + sizeof(PointId)),
+                       simt::Access::kRandom);
+  }
 }
 
 }  // namespace psb::knn

@@ -10,6 +10,12 @@
 // The optional spill mode implements the paper's §V-E sketch: keep only the
 // largest few pruning distances in shared memory and the rest in global
 // memory, trading occupancy for extra global traffic on insert.
+//
+// scan_leaf is the traversals' leaf kernel: distance evaluation and k-list
+// update fused, with the modeled charges of the two separate steps. On the
+// host it skips the square root and the offer for every point whose squared
+// distance already loses to the full list's top (the exact reject argued at
+// KnnHeap), so the answer and every counter stay what they were.
 #pragma once
 
 #include <cmath>
@@ -17,6 +23,7 @@
 
 #include "common/geometry.hpp"
 #include "simt/block.hpp"
+#include "sstree/node.hpp"
 
 namespace psb::knn {
 
@@ -47,6 +54,14 @@ class SharedKnnList {
   /// Returns the number of candidates that entered the list.
   std::size_t offer_batch(std::span<const Scalar> dists, std::span<const PointId> ids);
 
+  /// Evaluate every point of `leaf` against `query` and offer them in leaf
+  /// order, skipping `excluded_id` (a self-join's own query point). Charges
+  /// exactly what one lane-per-point distance step followed by offer_batch
+  /// over the non-excluded points charges, and keeps the same list. Returns
+  /// the number of points that entered the list.
+  std::size_t scan_leaf(const sstree::Node& leaf, std::span<const Scalar> query,
+                        PointId excluded_id = kInvalidPoint);
+
   /// Sorted final answer.
   std::vector<KnnHeap::Entry> sorted() const { return heap_.sorted(); }
 
@@ -54,6 +69,10 @@ class SharedKnnList {
   static constexpr std::size_t kSpillHead = 32;
 
  private:
+  /// Charge the merge of `inserted` accepted candidates out of a batch of
+  /// `offered` into the list (nothing when none was accepted).
+  void charge_merge(std::size_t inserted, std::size_t offered);
+
   simt::Block& block_;
   KnnHeap heap_;
   bool spill_;

@@ -7,7 +7,6 @@ namespace {
 
 using detail::child_bounds;
 using detail::fetch_node;
-using detail::leaf_distances;
 using detail::tighten_with_minmax;
 
 void finalize(SharedKnnList& list, QueryResult& out) { out.neighbors = list.sorted(); }
@@ -30,6 +29,7 @@ void restart_run(simt::Block& block, const sstree::SSTree& tree, std::span<const
   std::int64_t visited = -1;
   detail::SnapshotFetch snap(tree, opts);
   std::vector<char> touched(tree.num_nodes(), 0);
+  detail::ChildBounds cb;
   auto fetch = [&](const sstree::Node& n) {
     fetch_node(block, tree, n,
                touched[n.id] ? simt::Access::kCached : simt::Access::kRandom, &snap);
@@ -52,7 +52,7 @@ void restart_run(simt::Block& block, const sstree::SSTree& tree, std::span<const
       }
       const sstree::Node& n = tree.node(cur);
       fetch(n);
-      const detail::ChildBounds cb = child_bounds(block, tree, n, q, /*need_max=*/true);
+      child_bounds(block, tree, n, q, /*need_max=*/true, cb);
       tighten_with_minmax(block, list, cb.maxdist);
       const Scalar prune = list.pruning_distance();
       bool found = false;
@@ -78,9 +78,8 @@ void restart_run(simt::Block& block, const sstree::SSTree& tree, std::span<const
     const sstree::Node& leaf = tree.node(cur);
     fetch(leaf);
     ++st.leaves_visited;
-    const std::vector<Scalar> dists = leaf_distances(block, tree, leaf, q);
-    st.points_examined += dists.size();
-    st.heap_inserts += list.offer_batch(dists, leaf.points);
+    st.points_examined += leaf.points.size();
+    st.heap_inserts += list.scan_leaf(leaf, q);
     visited = leaf.leaf_id;
   }
   finalize(list, out);
@@ -127,9 +126,8 @@ void skip_pointer_run(simt::Block& block, const sstree::SSTree& tree,
     }
     if (n.is_leaf()) {
       ++st.leaves_visited;
-      const std::vector<Scalar> dists = leaf_distances(block, tree, n, q);
-      st.points_examined += dists.size();
-      st.heap_inserts += list.offer_batch(dists, n.points);
+      st.points_examined += n.points.size();
+      st.heap_inserts += list.scan_leaf(n, q);
       cur = n.skip;
       ++st.leaf_scans;  // forward hop to the next preorder node
     } else {

@@ -93,7 +93,7 @@ void RandomBallCover::run_exact(simt::Block& block, std::span<const Scalar> q, s
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::sort(order.begin(), order.end(),
             [&](std::size_t a, std::size_t b) { return rep_dist[a] < rep_dist[b]; });
-  block.reduce_kth_min(rep_dist, 1);  // charge the selection sort
+  block.charge_bitonic_sort(rep_dist.size());  // the selection sort
 
   // Phase 2: scan lists in ascending rep distance; triangle-inequality prune
   // (every member of list r is within radius_r of its representative, so its
@@ -136,7 +136,7 @@ void RandomBallCover::run_one_shot(simt::Block& block, std::span<const Scalar> q
   std::partial_sort(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(take),
                     order.end(),
                     [&](std::size_t a, std::size_t b) { return rep_dist[a] < rep_dist[b]; });
-  block.reduce_kth_min(rep_dist, take);
+  block.charge_bitonic_sort(rep_dist.size());  // selecting the `take` nearest
 
   std::vector<Scalar> dists;
   for (std::size_t i = 0; i < take; ++i) {

@@ -251,6 +251,7 @@ void ShardedEngine::compact(Shard& sh, std::size_t shard_idx) {
 
 knn::BatchResult ShardedEngine::run(const PointSet& queries) {
   PSB_REQUIRE(queries.dims() == dims_, "query dimensionality mismatch");
+  require_finite(queries, "query");
   obs::Registry& reg = obs::Registry::global();
   reg.add("engine.shard.batches", 1);
   reg.add("engine.shard.queries", queries.size());

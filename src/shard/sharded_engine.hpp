@@ -88,6 +88,8 @@ class ShardedEngine {
 
   /// Answer a batch by scatter-gather (or the S=1 delegate). Emits one trace
   /// per query under the algorithm's name when an obs session is active.
+  /// Throws InvalidArgument naming the first query with a NaN or infinite
+  /// coordinate.
   knn::BatchResult run(const PointSet& queries);
 
   struct TracedRun {

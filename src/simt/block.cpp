@@ -94,14 +94,21 @@ std::size_t Block::reduce_argmax(std::span<const Scalar> values) {
 Scalar Block::reduce_kth_min(std::span<const Scalar> values, std::size_t k) {
   PSB_REQUIRE(!values.empty(), "reduce over empty range");
   k = std::clamp<std::size_t>(k, 1, values.size());
+  charge_bitonic_sort(values.size());
+  // The working copy reuses the block's buffer: no allocation once it has
+  // grown to the widest node.
+  select_scratch_.assign(values.begin(), values.end());
+  const auto kth = select_scratch_.begin() + static_cast<std::ptrdiff_t>(k - 1);
+  std::nth_element(select_scratch_.begin(), kth, select_scratch_.end());
+  return *kth;
+}
+
+void Block::charge_bitonic_sort(std::size_t n) {
   // Bitonic sort cost: log2(n) * (log2(n)+1) / 2 full-width compare-exchange
   // steps over the next power of two.
-  const std::size_t n = std::bit_ceil(values.size());
-  const auto stages = static_cast<std::uint64_t>(std::bit_width(n) - 1);
-  charge_step(n / 2, stages * (stages + 1) / 2);
-  std::vector<Scalar> tmp(values.begin(), values.end());
-  std::nth_element(tmp.begin(), tmp.begin() + static_cast<std::ptrdiff_t>(k - 1), tmp.end());
-  return tmp[k - 1];
+  const std::size_t width = std::bit_ceil(n);
+  const auto stages = static_cast<std::uint64_t>(std::bit_width(width) - 1);
+  charge_step(width / 2, stages * (stages + 1) / 2);
 }
 
 }  // namespace psb::simt

@@ -69,6 +69,11 @@ class Block {
   /// the small arrays at hand (the paper's parReduceFindKthMinMaxDist).
   Scalar reduce_kth_min(std::span<const Scalar> values, std::size_t k);
 
+  /// Charge a block-wide bitonic sort of `n` lane values without computing
+  /// anything: the cost reduce_kth_min charges, for callers that order the
+  /// values on the host or know the selection cannot change their result.
+  void charge_bitonic_sort(std::size_t n);
+
  private:
   void charge_step(std::size_t active_lanes, std::uint64_t ops);
   void charge_reduction_tree(std::size_t n);
@@ -76,6 +81,7 @@ class Block {
   DeviceSpec spec_;
   int threads_;
   Metrics* metrics_;
+  std::vector<Scalar> select_scratch_;  // reduce_kth_min's working copy
 };
 
 }  // namespace psb::simt
