@@ -38,4 +38,13 @@ void require_finite(const PointSet& points, const char* what) {
   }
 }
 
+void require_finite(std::span<const Scalar> point, const char* what) {
+  for (std::size_t t = 0; t < point.size(); ++t) {
+    if (std::isfinite(point[t])) continue;
+    std::ostringstream os;
+    os << what << " coordinate " << t << " is non-finite (" << point[t] << ')';
+    throw InvalidArgument(os.str());
+  }
+}
+
 }  // namespace psb

@@ -64,4 +64,8 @@ class PointSet {
 /// the traversals assume finite distances.
 void require_finite(const PointSet& points, const char* what);
 
+/// Throw InvalidArgument naming the first NaN or infinite coordinate of one
+/// point, as "<what> coordinate <t> ...".
+void require_finite(std::span<const Scalar> point, const char* what);
+
 }  // namespace psb

@@ -29,17 +29,6 @@ namespace {
 
 constexpr int kBruteForceDefaultThreads = 256;  // brute_force.cpp's block width
 
-int block_threads_for(Algorithm a, const sstree::SSTree& tree, const knn::GpuKnnOptions& gpu) {
-  switch (a) {
-    case Algorithm::kBruteForce:
-      return gpu.threads_per_block > 0 ? gpu.threads_per_block : kBruteForceDefaultThreads;
-    case Algorithm::kTaskParallel:
-      return gpu.device.warp_size;
-    default:
-      return knn::detail::resolve_block_threads(gpu, tree.degree());
-  }
-}
-
 /// Per-query degradation events, accumulated lock-free in disjoint slots and
 /// folded into the obs registry on the merge thread. Zero when nothing
 /// degraded, so a fault-free run leaves the registry untouched.
@@ -95,19 +84,15 @@ NodeLayout parse_node_layout(std::string_view name) {
   throw InvalidArgument("unknown layout name: " + std::string(name));
 }
 
-std::string_view exec_schedule_name(ExecSchedule s) noexcept {
-  switch (s) {
-    case ExecSchedule::kExecutor: return "executor";
-    case ExecSchedule::kLegacy: return "legacy";
+int block_threads_for(Algorithm a, std::size_t degree, const knn::GpuKnnOptions& gpu) {
+  switch (a) {
+    case Algorithm::kBruteForce:
+      return gpu.threads_per_block > 0 ? gpu.threads_per_block : kBruteForceDefaultThreads;
+    case Algorithm::kTaskParallel:
+      return gpu.device.warp_size;
+    default:
+      return knn::detail::resolve_block_threads(gpu, degree);
   }
-  return "unknown";
-}
-
-ExecSchedule parse_exec_schedule(std::string_view name) {
-  for (ExecSchedule s : {ExecSchedule::kExecutor, ExecSchedule::kLegacy}) {
-    if (exec_schedule_name(s) == name) return s;
-  }
-  throw InvalidArgument("unknown exec schedule name: " + std::string(name));
 }
 
 BatchEngine::BatchEngine(const sstree::SSTree& tree, BatchEngineOptions opts)
@@ -211,10 +196,9 @@ knn::BatchResult BatchEngine::run(const PointSet& queries) const {
   std::vector<knn::QueryResult> results(n);
   std::vector<simt::Metrics> metrics(n);
   std::vector<std::uint8_t> events(n, 0);
-  const bool use_exec = opts_.exec_schedule == ExecSchedule::kExecutor;
-  // Per-query resume-step phase records (executor scheduling only); replayed
-  // per cohort through the overlap model on the merge thread.
-  std::vector<std::vector<simt::StepPhase>> step_slots(use_exec ? n : 0);
+  // Per-query resume-step phase records, replayed per cohort through the
+  // overlap model on the merge thread.
+  std::vector<std::vector<simt::StepPhase>> step_slots(n);
 
   const auto batch_start = std::chrono::steady_clock::now();
   const auto past_deadline = [&]() {
@@ -224,60 +208,51 @@ knn::BatchResult BatchEngine::run(const PointSet& queries) const {
     return elapsed.count() > opts_.deadline_ms;
   };
 
-  // One query through the chosen algorithm (the only thing the policy below
-  // varies is `gpu`).
-  const auto run_algorithm = [&](std::size_t q, const knn::GpuKnnOptions& gpu) {
+  // One query as a resumable executor (src/exec/); the policy below only
+  // varies `gpu`. The stack-free walkers run as native
+  // state machines that yield at every leaf reduction; every other algorithm
+  // runs its knn::*_query loop behind the one-step LoopExecutor adapter (no
+  // yield points, no modeled overlap — but the same exec.resume fault
+  // boundary). Cohort members still execute depth-first — the shared
+  // FetchSession makes the charge order part of the determinism contract —
+  // and the recorded resume steps feed the double-buffered fetch/compute
+  // stream model.
+  const auto run_executor = [&](std::size_t q, const knn::GpuKnnOptions& gpu) {
+    const std::span<const Scalar> query = queries[q];
+    simt::Metrics* m = &metrics[q];
+    knn::QueryResult res;
+    const auto loop = [&](auto query_fn) {
+      return exec::make_loop_executor([&res, query_fn] { res = query_fn(); }, gpu.device, m,
+                                      block_threads_for(opts_.algorithm, tree_.degree(), gpu));
+    };
+    std::unique_ptr<exec::Executor> ex;
     switch (opts_.algorithm) {
-      case Algorithm::kPsb:
-        return knn::psb_query(tree_, queries[q], gpu, &metrics[q]);
-      case Algorithm::kBestFirst:
-        return knn::best_first_gpu_query(tree_, queries[q], gpu, &metrics[q]);
-      case Algorithm::kBranchAndBound:
-        return knn::bnb_query(tree_, queries[q], gpu, &metrics[q]);
-      case Algorithm::kStacklessRestart:
-        return knn::restart_query(tree_, queries[q], gpu, &metrics[q]);
       case Algorithm::kStacklessSkip:
-        return knn::skip_pointer_query(tree_, queries[q], gpu, &metrics[q]);
+        ex = exec::make_skip_pointer_executor(tree_, query, gpu, m, res);
+        break;
       case Algorithm::kImplicitStackless:
         // With the layout gone (verify() failed), the skip-pointer twin runs
         // the identical preorder sweep on the pointer path — a typed, exact
         // fallback counted once per batch by the gate above.
-        return gpu.implicit != nullptr
-                   ? knn::implicit_stackless_query(tree_, queries[q], gpu, &metrics[q])
-                   : knn::skip_pointer_query(tree_, queries[q], gpu, &metrics[q]);
+        ex = gpu.implicit != nullptr
+                 ? exec::make_implicit_stackless_executor(tree_, query, gpu, m, res)
+                 : exec::make_skip_pointer_executor(tree_, query, gpu, m, res);
+        break;
+      case Algorithm::kPsb:
+        ex = loop([&] { return knn::psb_query(tree_, query, gpu, m); });
+        break;
+      case Algorithm::kBestFirst:
+        ex = loop([&] { return knn::best_first_gpu_query(tree_, query, gpu, m); });
+        break;
+      case Algorithm::kBranchAndBound:
+        ex = loop([&] { return knn::bnb_query(tree_, query, gpu, m); });
+        break;
+      case Algorithm::kStacklessRestart:
+        ex = loop([&] { return knn::restart_query(tree_, query, gpu, m); });
+        break;
       case Algorithm::kBruteForce:
       case Algorithm::kTaskParallel:  // kTaskParallel is handled above
-        return knn::brute_force_query(tree_.data(), queries[q], gpu, &metrics[q]);
-    }
-    throw InternalError("unreachable algorithm dispatch");
-  };
-
-  // Executor-scheduled form of run_algorithm: the same traversal driven as a
-  // suspendable state machine (src/exec/). Cohort members still execute
-  // depth-first — the shared FetchSession makes the charge order part of the
-  // bit-identity contract — so results, stats and traces match
-  // run_algorithm exactly; the recorded resume steps additionally feed the
-  // double-buffered fetch/compute stream model. Variants without a native
-  // executor run behind the one-step LoopExecutor adapter (no yield points,
-  // no modeled overlap — but the same exec.resume fault boundary).
-  const auto run_executor = [&](std::size_t q, const knn::GpuKnnOptions& gpu) {
-    knn::QueryResult res;
-    std::unique_ptr<exec::Executor> ex;
-    switch (opts_.algorithm) {
-      case Algorithm::kStacklessSkip:
-        ex = exec::make_skip_pointer_executor(tree_, queries[q], gpu, &metrics[q], res);
-        break;
-      case Algorithm::kImplicitStackless:
-        // Same typed fallback as run_algorithm when the layout is gone.
-        ex = gpu.implicit != nullptr
-                 ? exec::make_implicit_stackless_executor(tree_, queries[q], gpu, &metrics[q],
-                                                          res)
-                 : exec::make_skip_pointer_executor(tree_, queries[q], gpu, &metrics[q], res);
-        break;
-      default:
-        ex = exec::make_loop_executor([&res, &run_algorithm, q, &gpu] {
-          res = run_algorithm(q, gpu);
-        }, gpu.device, &metrics[q], block_threads_for(opts_.algorithm, tree_, gpu));
+        ex = loop([&] { return knn::brute_force_query(tree_.data(), query, gpu, m); });
         break;
     }
     exec::drive(*ex);
@@ -301,9 +276,9 @@ knn::BatchResult BatchEngine::run(const PointSet& queries) const {
   // Degradation policy around one query. Never lets a detected fault escape:
   // DataFault -> one restart-from-root retry on the pointer path (injected
   // faults are one-shot, so the retry sees clean data) -> brute force.
-  // Budget exhaustion -> brute force when allowed, else a flagged partial.
-  // Deadline-cut queries keep their partial list (scanning everything would
-  // blow the deadline that cut them).
+  // Budget exhaustion -> brute force. Deadline-cut queries keep their
+  // partial list, flagged (scanning everything would blow the deadline that
+  // cut them).
   const auto run_query = [&](std::size_t q, const knn::GpuKnnOptions& cohort_gpu) {
     knn::GpuKnnOptions gpu = cohort_gpu;
     bool deadline_cut = false;
@@ -319,7 +294,7 @@ knn::BatchResult BatchEngine::run(const PointSet& queries) const {
       events[q] |= kEvDeadlineCut;
     }
     try {
-      results[q] = use_exec ? run_executor(q, gpu) : run_algorithm(q, gpu);
+      results[q] = run_executor(q, gpu);
     } catch (const exec::ResumeFault&) {
       // A killed resume step abandons the suspended executor. The injected
       // kill is one-shot, so a fresh executor rerun sees a quiet site and
@@ -347,7 +322,7 @@ knn::BatchResult BatchEngine::run(const PointSet& queries) const {
     }
     if (results[q].budget_exhausted) {
       events[q] |= kEvBudgetExhausted;
-      if (!deadline_cut && opts_.allow_brute_force_fallback) {
+      if (!deadline_cut) {
         const knn::TraversalStats partial = results[q].stats;
         results[q] = brute_force_fallback(q, gpu);
         results[q].stats.merge(partial);  // keep the abandoned traversal's work visible
@@ -446,7 +421,7 @@ knn::BatchResult BatchEngine::run(const PointSet& queries) const {
       results[q] = knn::QueryResult{};
       metrics[q] = simt::Metrics{};
       events[q] = 0;
-      if (use_exec) step_slots[q].clear();
+      step_slots[q].clear();
     }
     process_unit(u);
     ++recovered_units;
@@ -480,24 +455,22 @@ knn::BatchResult BatchEngine::run(const PointSet& queries) const {
   // Replay each cohort's recorded resume steps through the double-buffered
   // fetch/compute stream model. Per-unit replay in `order` makes the totals
   // a pure function of (queries, options) — worker count moves nothing.
-  if (use_exec) {
-    std::vector<const std::vector<simt::StepPhase>*> cohort_steps;
-    for (std::size_t u = 0; u < units; ++u) {
-      cohort_steps.clear();
-      const std::size_t begin = u * cohort;
-      const std::size_t end = std::min(n, begin + cohort);
-      for (std::size_t s = begin; s < end; ++s) cohort_steps.push_back(&step_slots[order[s]]);
-      out.exec.merge(simt::pipeline_schedule(opts_.gpu.device, cohort_steps));
-    }
-    if (out.exec.steps > 0) {
-      reg.add("engine.exec.steps", out.exec.steps);
-      reg.add("engine.exec.serialized_cycles", out.exec.serialized_cycles);
-      reg.add("engine.exec.overlapped_cycles", out.exec.overlapped_cycles);
-    }
+  std::vector<const std::vector<simt::StepPhase>*> cohort_steps;
+  for (std::size_t u = 0; u < units; ++u) {
+    cohort_steps.clear();
+    const std::size_t begin = u * cohort;
+    const std::size_t end = std::min(n, begin + cohort);
+    for (std::size_t s = begin; s < end; ++s) cohort_steps.push_back(&step_slots[order[s]]);
+    out.exec.merge(simt::pipeline_schedule(opts_.gpu.device, cohort_steps));
+  }
+  if (out.exec.steps > 0) {
+    reg.add("engine.exec.steps", out.exec.steps);
+    reg.add("engine.exec.serialized_cycles", out.exec.serialized_cycles);
+    reg.add("engine.exec.overlapped_cycles", out.exec.overlapped_cycles);
   }
   simt::KernelConfig cfg;
   cfg.blocks = static_cast<int>(std::max<std::size_t>(n, 1));
-  cfg.threads_per_block = block_threads_for(opts_.algorithm, tree_, opts_.gpu);
+  cfg.threads_per_block = block_threads_for(opts_.algorithm, tree_.degree(), opts_.gpu);
   out.timing = simt::estimate(opts_.gpu.device, out.metrics, cfg);
   return out;
 }

@@ -18,9 +18,17 @@
 // retried once from the root on the pointer path and, failing that, answered
 // by exact brute force (QueryStatus::kDegradedFallback); a query that
 // exhausts its node budget is brute-forced (exact, kDegradedFallback) or —
-// past the deadline or with allow_brute_force_fallback off — returned as a
-// flagged partial list (kDeadlinePartial). A worker that dies mid-slice has
-// its unprocessed cohorts rerun on the merge thread.
+// past the deadline — returned as a flagged partial list (kDeadlinePartial).
+// A worker that dies mid-slice has its unprocessed cohorts rerun on the
+// merge thread.
+//
+// Every query runs as a resumable exec::Executor (src/exec/): a native
+// state machine for the stack-free walkers, a one-step LoopExecutor around
+// the per-query knn::*_query function for every other algorithm. Executors
+// perform exactly the charges of those free functions, so a batch equals
+// driving them per query with one shared FetchSession per warp cohort; the
+// recorded resume steps additionally feed the stream-overlap model
+// (BatchResult::exec, engine.exec.* counters).
 #pragma once
 
 #include <cstddef>
@@ -68,28 +76,10 @@ std::string_view node_layout_name(NodeLayout l) noexcept;
 /// InvalidArgument on unknown names.
 NodeLayout parse_node_layout(std::string_view name);
 
-/// How the engine drives each query's traversal.
-enum class ExecSchedule : std::uint8_t {
-  /// Default: every query runs as a suspendable exec::Executor, yielding at
-  /// each leaf reduction. Cohort members still execute depth-first (the
-  /// shared FetchSession makes the charge order part of the determinism
-  /// contract — results, stats and traces are bit-identical to kLegacy),
-  /// while the recorded resume steps are replayed through the
-  /// double-buffered fetch/compute stream model (simt/overlap.hpp) and
-  /// published as BatchResult::exec + engine.exec.* counters. The executor
-  /// boundary also hosts the exec.resume fault site.
-  kExecutor,
-  /// The pre-executor run-to-completion loops: no overlap accounting, no
-  /// exec.resume evaluations. Kept as the metamorphic reference.
-  kLegacy,
-};
-
-/// Stable name used for CLI flags (`--exec ...`).
-std::string_view exec_schedule_name(ExecSchedule s) noexcept;
-
-/// Parse an exec-schedule name (as printed by exec_schedule_name); throws
-/// InvalidArgument on unknown names.
-ExecSchedule parse_exec_schedule(std::string_view name);
+/// Lanes per modeled block for one query of `a` on a tree of the given
+/// fanout: the brute-force scan's fixed width, one warp for the
+/// task-parallel kernel, otherwise the data-parallel width (the fanout).
+int block_threads_for(Algorithm a, std::size_t degree, const knn::GpuKnnOptions& gpu);
 
 struct BatchEngineOptions {
   Algorithm algorithm = Algorithm::kPsb;
@@ -97,15 +87,9 @@ struct BatchEngineOptions {
   /// Host worker threads; 0 = hardware concurrency. Results do not depend
   /// on this value.
   std::size_t num_threads = 1;
-  /// Build a frozen traversal snapshot of the tree at engine construction and
-  /// route every node fetch through its level-clustered arena (segment-
-  /// granular byte accounting instead of raw node bytes). Legacy alias for
-  /// `layout = NodeLayout::kSnapshot`; ignored when `layout` names an arena
-  /// explicitly.
-  bool use_snapshot = false;
-  /// Node-arena serving mode. kPointer defers to `use_snapshot` (the legacy
-  /// switch); kSnapshot/kImplicit build the named arena at engine
-  /// construction and route every node fetch through it. The implicit arena
+  /// Node-arena serving mode. kSnapshot/kImplicit build the named arena at
+  /// engine construction and route every node fetch through it (segment-
+  /// granular byte accounting instead of raw node bytes). The implicit arena
   /// is required by Algorithm::kImplicitStackless and is built for it
   /// regardless of this field; for link-walking algorithms kImplicit is an
   /// accounting ablation (same traversal, pointer-free record sizes). An
@@ -126,27 +110,10 @@ struct BatchEngineOptions {
   /// necessarily relaxes the bit-identical determinism contract — which
   /// queries get cut depends on real elapsed time.
   double deadline_ms = 0;
-  /// Recover budget-exhausted queries with an exact brute-force scan
-  /// (kDegradedFallback). Off: return the partial list as kDeadlinePartial.
-  /// Deadline-cut queries are never brute-forced — the scan would blow the
-  /// very deadline that cut them.
-  bool allow_brute_force_fallback = true;
-  /// Traversal driver (see ExecSchedule). kExecutor and kLegacy produce
-  /// bit-identical results, stats and traces; only the overlap accounting
-  /// and the exec.resume fault boundary differ.
-  ExecSchedule exec_schedule = ExecSchedule::kExecutor;
 
-  /// The arena mode after resolving the legacy use_snapshot alias.
-  NodeLayout resolved_layout() const noexcept {
-    if (layout != NodeLayout::kPointer) return layout;
-    return use_snapshot ? NodeLayout::kSnapshot : NodeLayout::kPointer;
-  }
-  bool needs_snapshot() const noexcept {
-    return resolved_layout() == NodeLayout::kSnapshot;
-  }
+  bool needs_snapshot() const noexcept { return layout == NodeLayout::kSnapshot; }
   bool needs_implicit_layout() const noexcept {
-    return resolved_layout() == NodeLayout::kImplicit ||
-           algorithm == Algorithm::kImplicitStackless;
+    return layout == NodeLayout::kImplicit || algorithm == Algorithm::kImplicitStackless;
   }
 };
 
@@ -158,12 +125,11 @@ class BatchEngine {
 
   const BatchEngineOptions& options() const noexcept { return opts_; }
 
-  /// The engine-owned snapshot (null unless the resolved layout is
-  /// kSnapshot).
+  /// The engine-owned snapshot (null unless the layout is kSnapshot).
   const layout::TraversalSnapshot* snapshot() const noexcept { return snapshot_.get(); }
 
-  /// The engine-owned implicit layout (null unless the resolved layout is
-  /// kImplicit or the algorithm is kImplicitStackless).
+  /// The engine-owned implicit layout (null unless the layout is kImplicit
+  /// or the algorithm is kImplicitStackless).
   const layout::ImplicitLayout* implicit_layout() const noexcept { return implicit_.get(); }
 
   /// Answer a batch. Emits per-query traces to the active obs session (if

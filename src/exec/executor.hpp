@@ -14,11 +14,11 @@
 //           +--budget / end of sweep--> [finalize] --done--> (false)
 //
 // Contract: driving an executor to completion performs *exactly* the charge
-// sequence of the legacy run-to-completion loop it restructures — same
-// Metrics, same TraversalStats, same FetchSession residency evolution, same
-// answer. The metamorphic suite (tests/exec_metamorphic_test.cpp) enforces
-// this bit-for-bit; the engines rely on it to make executor scheduling the
-// default without perturbing any baseline.
+// sequence of the run-to-completion knn::*_query function it restructures —
+// same Metrics, same TraversalStats, same FetchSession residency evolution,
+// same answer. The metamorphic suite (tests/exec_metamorphic_test.cpp)
+// checks the engines, which drive every query through an executor, against
+// those free functions bit-for-bit.
 //
 // Each resume step records a simt::StepPhase: the fetch phase (node walk,
 // prune math, leaf staging — everything up to the leaf reduction) and the
@@ -97,7 +97,7 @@ std::unique_ptr<Executor> make_implicit_stackless_executor(const sstree::SSTree&
                                                            simt::Metrics* metrics,
                                                            knn::QueryResult& out);
 
-/// Adapter for variants that keep their legacy run-to-completion loops
+/// Adapter for variants that keep their run-to-completion loops
 /// (best-first's ordered frontier, PSB's fused descent+scan, brute force):
 /// `run` executes the whole query on its first resume, recorded as a single
 /// opaque fetch-phase step (no yield points -> no modeled overlap). The

@@ -19,6 +19,10 @@
 namespace psb::join {
 namespace {
 
+/// Maximum queries per dual-walk cohort. A single home-leaf group wider
+/// than the cap is never split.
+constexpr std::size_t kCohortQueries = 128;
+
 /// Per-cohort degradation/behavior events, accumulated lock-free in disjoint
 /// slots and folded into the obs registry on the merge thread (so totals are
 /// independent of thread count). Indexes into the per-cohort ev array.
@@ -70,18 +74,6 @@ PairBounds pair_child_bounds(simt::Block& block, const sstree::SSTree& tree,
     out.mind[i] = std::max(Scalar{0}, static_cast<Scalar>(cd - rr));
   });
   return out;
-}
-
-/// Escalate a query status with a recovery floor (mirrors shard's merger):
-/// partial dominates, degraded flags, kOk passes through.
-knn::QueryStatus escalate(knn::QueryStatus a, knn::QueryStatus b) noexcept {
-  if (a == knn::QueryStatus::kDeadlinePartial || b == knn::QueryStatus::kDeadlinePartial) {
-    return knn::QueryStatus::kDeadlinePartial;
-  }
-  if (a == knn::QueryStatus::kDegradedFallback || b == knn::QueryStatus::kDegradedFallback) {
-    return knn::QueryStatus::kDegradedFallback;
-  }
-  return knn::QueryStatus::kOk;
 }
 
 /// Exclude `self` from a sorted neighbor list (at most one entry — ids are
@@ -183,6 +175,7 @@ engine::BatchEngine& JoinEngine::single_engine(std::size_t engine_k) {
 knn::BatchResult JoinEngine::all_knn() { return run(tree_.data(), /*self_join=*/true); }
 
 knn::BatchResult JoinEngine::knn_join(const PointSet& targets) {
+  require_finite(targets, "target");
   return run(targets, /*self_join=*/false);
 }
 
@@ -327,7 +320,7 @@ knn::BatchResult JoinEngine::run_dual(const PointSet& targets, bool self_join) {
   // their neighborhood (a self-join reads that off the leaf partition; a
   // kNN-join assigns each target to its nearest source leaf — MINDIST, then
   // center distance, then leaf order, fully deterministic), and consecutive
-  // home-leaf groups are merged up to cohort_queries queries. Home-leaf
+  // home-leaf groups are merged up to kCohortQueries queries. Home-leaf
   // alignment is what keeps the walk competitive on arena layouts, where
   // the single-tree path already amortizes fetches across its warp windows:
   // the cohort's home leaves pop first (pair MINDIST ~0), one refinement
@@ -337,7 +330,6 @@ knn::BatchResult JoinEngine::run_dual(const PointSet& targets, bool self_join) {
   // fetches); the cap keeps a cohort's k-list vector inside one modeled
   // block's shared memory and preserves cohort-level parallelism.
   const std::vector<NodeId>& src_leaves = tree_.leaves();
-  const std::size_t cap = std::max<std::size_t>(opts_.cohort_queries, 1);
   std::vector<std::vector<PointId>> leaf_groups(src_leaves.size());
   if (self_join) {
     for (std::size_t l = 0; l < src_leaves.size(); ++l) {
@@ -366,7 +358,7 @@ knn::BatchResult JoinEngine::run_dual(const PointSet& targets, bool self_join) {
   std::vector<std::vector<PointId>> cohort_ids;
   for (std::vector<PointId>& g : leaf_groups) {
     if (g.empty()) continue;
-    if (!cohort_ids.empty() && cohort_ids.back().size() + g.size() <= cap) {
+    if (!cohort_ids.empty() && cohort_ids.back().size() + g.size() <= kCohortQueries) {
       cohort_ids.back().insert(cohort_ids.back().end(), g.begin(), g.end());
     } else {
       cohort_ids.push_back(std::move(g));
@@ -498,7 +490,7 @@ void JoinEngine::single_rerun(Cohort& cohort, simt::Metrics& m, knn::QueryStatus
     const PointId qid = cohort.query_ids[i];
     knn::QueryResult r = std::move(br.queries[i]);
     if (cohort.exclude) exclude_self(r.neighbors, qid, cohort.k_eff);
-    r.status = escalate(r.status, floor);
+    r.status = std::max(r.status, floor);
     cohort.results[qid] = std::move(r);
   }
   m.merge(br.metrics);

@@ -4,7 +4,7 @@
 //
 // The dual walk groups target points by their home source leaf (the leaf
 // partition itself on a self-join; nearest-leaf assignment on a kNN-join),
-// merges consecutive groups up to cohort_queries, and descends the source
+// merges consecutive groups up to 128 queries, and descends the source
 // tree once per cohort: a node fetch is paid once for the whole cohort
 // instead of once per query, and a whole source subtree is pruned when no
 // query's exact bound math keeps it — the cohort's running bound vector of
@@ -67,13 +67,6 @@ struct JoinOptions {
   /// Self-join only: keep the query point itself as its own (distance-0)
   /// nearest neighbor instead of excluding it. Ignored by knn_join.
   bool include_self = false;
-  /// Maximum queries per dual-walk cohort. Consecutive home-leaf groups are
-  /// merged up to this cap before the walk: larger cohorts amortize the
-  /// shared spine (root and near-top fetches are paid once per cohort),
-  /// smaller ones keep the modeled per-block shared-memory footprint (one
-  /// k-list per query) realistic and preserve cohort-level parallelism. A
-  /// single leaf group wider than the cap is never split. Minimum 1.
-  std::size_t cohort_queries = 128;
   /// Algorithm, arena layout, GPU options and num_threads. The single-tree
   /// path serves per-point queries through a BatchEngine built from these
   /// options; the dual walk uses gpu/layout/num_threads and shares one
@@ -95,7 +88,9 @@ class JoinEngine {
   knn::BatchResult all_knn();
 
   /// kNN-join: one QueryResult per target point, in target order. Neighbor
-  /// ids index the source dataset. Targets must match the source dims.
+  /// ids index the source dataset. Targets must match the source dims; throws
+  /// InvalidArgument naming the first target with a NaN or infinite
+  /// coordinate.
   knn::BatchResult knn_join(const PointSet& targets);
 
   struct TracedRun {

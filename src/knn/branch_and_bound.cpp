@@ -10,7 +10,6 @@ namespace {
 
 using detail::child_bounds;
 using detail::fetch_node;
-using detail::tighten_with_minmax;
 
 /// Scratch of one recursion level: the node's child bounds and its visiting
 /// order stay live while the children below it are visited.
@@ -27,7 +26,6 @@ struct BnbContext {
   QueryResult& out;
   TraversalStats& st;
   const GpuKnnOptions& opts;
-  bool minmax_tighten;
   detail::SnapshotFetch* snap;
   std::deque<BnbFrame> frames;  // one per depth; deque keeps references stable
 };
@@ -56,8 +54,9 @@ void bnb_visit(BnbContext& ctx, NodeId id, std::size_t depth) {
   if (ctx.frames.size() <= depth) ctx.frames.emplace_back();
   BnbFrame& frame = ctx.frames[depth];
   detail::ChildBounds& cb = frame.cb;
-  child_bounds(ctx.block, ctx.tree, n, ctx.q, /*need_max=*/ctx.minmax_tighten, cb);
-  if (ctx.minmax_tighten) tighten_with_minmax(ctx.block, ctx.list, cb.maxdist);
+  // Classic baseline: MINDIST pruning only. Roussopoulos et al. define
+  // MINMAXDIST pruning for 1-NN; the k-generalized bound is PSB's own.
+  child_bounds(ctx.block, ctx.tree, n, ctx.q, /*need_max=*/false, cb);
 
   // Active branch list sorted by MINDIST (one block-wide bitonic sort).
   std::vector<std::size_t>& order = frame.order;
@@ -91,8 +90,7 @@ void bnb_run(simt::Block& block, const sstree::SSTree& tree, std::span<const Sca
   SharedKnnList list(block, k_eff, opts.spill_heap_to_global);
   detail::seed_shared_bound(list, opts);
   detail::SnapshotFetch snap(tree, opts);
-  BnbContext ctx{block, tree, q, list, out, out.stats, opts, opts.bnb_minmax_tighten,
-                 &snap, {}};
+  BnbContext ctx{block, tree, q, list, out, out.stats, opts, &snap, {}};
   ++out.stats.restarts;  // the single root descent
   bnb_visit(ctx, tree.root(), 0);
   out.neighbors = list.sorted();

@@ -71,7 +71,8 @@ inline obs::QueryTrace make_query_trace(std::uint64_t query_index, const Travers
 }
 
 /// How a query's answer was produced. Anything other than kOk means the
-/// serving path degraded; only kDeadlinePartial may be inexact.
+/// serving path degraded; only kDeadlinePartial may be inexact. Ordered by
+/// severity, so merging the statuses of a query's parts is std::max.
 enum class QueryStatus : std::uint8_t {
   kOk = 0,                ///< normal traversal, exact
   kDegradedFallback = 1,  ///< recovered via retry/brute force — still exact
@@ -105,8 +106,8 @@ struct BatchResult {
   simt::Metrics metrics;       ///< summed over per-query kernels
   simt::KernelTiming timing;   ///< cost-model estimate for the batch
   /// Stream-overlap accounting from the resumable-executor schedule (zero
-  /// when the batch ran legacy run-to-completion loops). Purely additive:
-  /// `timing` and `metrics` are identical either way.
+  /// for the free-function batch drivers). Purely additive: `timing` and
+  /// `metrics` equal driving the knn::*_query functions directly.
   simt::OverlapTotals exec;
 
   double avg_query_ms() const noexcept { return timing.avg_query_ms; }
@@ -133,11 +134,6 @@ struct GpuKnnOptions {
   /// PSB ablation switches (both on = paper's Algorithm 1).
   bool psb_initial_descent = true;
   bool psb_leaf_scan = true;
-  /// Give the branch-and-bound baseline PSB's k-th-min MINMAXDIST bound
-  /// (Alg. 1 lines 13-15). Off by default: Roussopoulos et al. define
-  /// MINMAXDIST pruning for 1-NN only, and the k-generalized bound is part
-  /// of the paper's contribution, not the classic baseline.
-  bool bnb_minmax_tighten = false;
   /// Snapshot-backed fetch path (layout/): when set, node fetches are served
   /// from the frozen arena at 128-byte segment granularity instead of the
   /// pointer-walking node_byte_size accounting. Traversal decisions and

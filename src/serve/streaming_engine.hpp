@@ -109,7 +109,7 @@ struct StreamingReport {
   std::uint64_t accessed_bytes = 0;  ///< backend bytes summed over flushes
   std::uint64_t span_us = 0;         ///< last completion time on the virtual clock
   /// Executor-schedule overlap totals merged over flushes (simt/overlap.hpp);
-  /// all-zero when the backend runs the legacy schedule or brute-forces.
+  /// flushes the front-end answers by brute force add nothing.
   simt::OverlapTotals exec;
 
   /// Replicated-serving accounting; all-zero (and absent from the JSON

@@ -9,8 +9,7 @@
 
 namespace psb::shard {
 
-Partition hilbert_partition(const PointSet& points, std::size_t num_shards,
-                            int bits_per_dim) {
+Partition hilbert_partition(const PointSet& points, std::size_t num_shards) {
   PSB_REQUIRE(num_shards > 0, "num_shards must be > 0");
   Partition out;
   out.shards.resize(num_shards);
@@ -20,7 +19,7 @@ Partition hilbert_partition(const PointSet& points, std::size_t num_shards,
   std::vector<PointId> order(n);
   std::iota(order.begin(), order.end(), PointId{0});
   if (num_shards > 1 && points.dims() <= 64) {
-    const hilbert::Encoder enc(points.dims(), bits_per_dim);
+    const hilbert::Encoder enc(points.dims(), /*bits_per_dim=*/16);
     const std::vector<std::uint64_t> keys = enc.encode_all(points);
     order = simt::radix_sort_order(keys, enc.words_per_key());
   }

@@ -22,14 +22,13 @@ struct Partition {
 };
 
 /// Split `points` into `num_shards` contiguous runs of the dataset's Hilbert
-/// order, sizes balanced to within one point. Within each shard the ids are
+/// order (16 bits per axis), sizes balanced to within one point. Within each shard the ids are
 /// re-sorted ascending, so a shard's local dataset preserves the original
 /// dataset order — local-id tie-breaks agree with global-id tie-breaks, and
 /// with num_shards == 1 the single shard is the identity dataset (its tree is
 /// bit-identical to the unsharded build). Dimensionalities beyond the curve's
 /// 64-axis range fall back to splitting the id order directly, which keeps
 /// every guarantee except spatial compactness.
-Partition hilbert_partition(const PointSet& points, std::size_t num_shards,
-                            int bits_per_dim = 16);
+Partition hilbert_partition(const PointSet& points, std::size_t num_shards);
 
 }  // namespace psb::shard

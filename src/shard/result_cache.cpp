@@ -9,6 +9,9 @@
 namespace psb::shard {
 namespace {
 
+/// Grid resolution (bits per axis) of the quantized-cell bucket keys.
+constexpr int kCellBits = 12;
+
 /// SplitMix64 finalizer — the deterministic hash mixer for bucket keys.
 std::uint64_t mix64(std::uint64_t x) noexcept {
   x += 0x9e3779b97f4a7c15ULL;
@@ -19,16 +22,15 @@ std::uint64_t mix64(std::uint64_t x) noexcept {
 
 }  // namespace
 
-ResultCache::ResultCache(std::size_t capacity, Rect bounds, int cell_bits)
-    : capacity_(capacity), bounds_(std::move(bounds)), cell_bits_(cell_bits) {
+ResultCache::ResultCache(std::size_t capacity, Rect bounds)
+    : capacity_(capacity), bounds_(std::move(bounds)) {
   PSB_REQUIRE(capacity > 0, "cache capacity must be > 0");
-  PSB_REQUIRE(cell_bits > 0 && cell_bits <= 31, "cell_bits must be in [1, 31]");
   PSB_REQUIRE(!bounds_.lo.empty() && bounds_.lo.size() == bounds_.hi.size(),
               "cache bounds must be a valid rectangle");
 }
 
 std::uint64_t ResultCache::bucket_key(std::span<const Scalar> query, std::size_t k) const {
-  const auto cells = std::uint64_t{1} << cell_bits_;
+  const auto cells = std::uint64_t{1} << kCellBits;
   std::uint64_t h = mix64(static_cast<std::uint64_t>(k));
   for (std::size_t t = 0; t < query.size(); ++t) {
     const double lo = bounds_.lo[t];

@@ -28,9 +28,9 @@ namespace psb::shard {
 class ResultCache {
  public:
   /// Hold at most `capacity` answers (> 0), quantizing queries onto a
-  /// 2^cell_bits grid per axis over `bounds` (the dataset bounding box;
+  /// 2^12 grid per axis over `bounds` (the dataset bounding box;
   /// out-of-bounds queries clamp onto the boundary cells).
-  ResultCache(std::size_t capacity, Rect bounds, int cell_bits);
+  ResultCache(std::size_t capacity, Rect bounds);
 
   std::size_t size() const noexcept { return lru_.size(); }
   std::size_t capacity() const noexcept { return capacity_; }
@@ -69,7 +69,6 @@ class ResultCache {
 
   std::size_t capacity_;
   Rect bounds_;
-  int cell_bits_;
   List lru_;  // front = most recently used
   std::unordered_multimap<std::uint64_t, List::iterator> index_;
 };

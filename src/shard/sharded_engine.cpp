@@ -12,7 +12,6 @@
 #include "hilbert/hilbert.hpp"
 #include "knn/best_first.hpp"
 #include "knn/branch_and_bound.hpp"
-#include "knn/detail/traversal_common.hpp"
 #include "knn/implicit_stackless.hpp"
 #include "knn/psb.hpp"
 #include "knn/stackless_baselines.hpp"
@@ -29,8 +28,6 @@ namespace psb::shard {
 namespace {
 
 using engine::Algorithm;
-
-constexpr int kBruteForceDefaultThreads = 256;  // brute_force.cpp's block width
 
 /// Per-query degradation/behavior events, accumulated lock-free in disjoint
 /// slots and folded into the obs registry on the merge thread (so totals are
@@ -66,30 +63,6 @@ constexpr std::string_view kEvCounter[kNumEv] = {
     "engine.shard.resume_reruns",      "engine.shard.resume_brute_fallbacks",
 };
 
-int block_threads_for(Algorithm a, std::size_t degree, const knn::GpuKnnOptions& gpu) {
-  switch (a) {
-    case Algorithm::kBruteForce:
-      return gpu.threads_per_block > 0 ? gpu.threads_per_block : kBruteForceDefaultThreads;
-    case Algorithm::kTaskParallel:
-      return gpu.device.warp_size;
-    default:
-      return knn::detail::resolve_block_threads(gpu, degree);
-  }
-}
-
-/// Escalate a batch-level status with one pass's status: any partial pass
-/// makes the merged answer possibly inexact (dominates), any degraded pass
-/// flags the query as degraded-but-exact.
-knn::QueryStatus escalate(knn::QueryStatus acc, knn::QueryStatus s) noexcept {
-  if (acc == knn::QueryStatus::kDeadlinePartial || s == knn::QueryStatus::kDeadlinePartial) {
-    return knn::QueryStatus::kDeadlinePartial;
-  }
-  if (acc == knn::QueryStatus::kDegradedFallback || s == knn::QueryStatus::kDegradedFallback) {
-    return knn::QueryStatus::kDegradedFallback;
-  }
-  return knn::QueryStatus::kOk;
-}
-
 }  // namespace
 
 /// One Hilbert range of the dataset: a private point copy, the shard's
@@ -116,8 +89,9 @@ ShardedEngine::ShardedEngine(const PointSet& data, ShardedEngineOptions opts)
   PSB_REQUIRE(opts_.num_shards > 0, "num_shards must be > 0");
   PSB_REQUIRE(opts_.engine.gpu.k > 0, "k must be > 0");
   PSB_REQUIRE(opts_.degree >= 2, "degree must be >= 2");
+  require_finite(data, "dataset point");
 
-  const Partition part = hilbert_partition(data, opts_.num_shards, opts_.hilbert_bits_per_dim);
+  const Partition part = hilbert_partition(data, opts_.num_shards);
   locator_.resize(data.size());
   shards_.reserve(opts_.num_shards);
   for (std::size_t s = 0; s < opts_.num_shards; ++s) {
@@ -139,8 +113,7 @@ ShardedEngine::ShardedEngine(const PointSet& data, ShardedEngineOptions opts)
     Rect bounds = data.empty()
                       ? Rect{std::vector<Scalar>(dims_, 0), std::vector<Scalar>(dims_, 0)}
                       : hilbert::bounding_rect(data);
-    cache_ = std::make_unique<ResultCache>(opts_.cache_capacity, std::move(bounds),
-                                           opts_.cache_cell_bits);
+    cache_ = std::make_unique<ResultCache>(opts_.cache_capacity, std::move(bounds));
   }
   refresh_delegate();
 }
@@ -351,25 +324,23 @@ knn::BatchResult ShardedEngine::run(const PointSet& queries) {
   // Overlap schedule over cohorts of warp_queries consecutive queries (batch
   // order; the scatter path never reorders). Computed on the merge thread
   // from the per-query step streams, so totals are worker-count independent.
-  if (opts_.engine.exec_schedule == engine::ExecSchedule::kExecutor) {
-    const std::size_t cohort = std::max<std::size_t>(opts_.engine.warp_queries, 1);
-    std::vector<const std::vector<simt::StepPhase>*> cohort_steps;
-    for (std::size_t begin = 0; begin < n; begin += cohort) {
-      cohort_steps.clear();
-      const std::size_t end = std::min(n, begin + cohort);
-      for (std::size_t q = begin; q < end; ++q) cohort_steps.push_back(&step_slots[q]);
-      out.exec.merge(simt::pipeline_schedule(opts_.engine.gpu.device, cohort_steps));
-    }
-    if (out.exec.steps > 0) {
-      reg.add("engine.shard.exec_steps", out.exec.steps);
-      reg.add("engine.shard.exec_serialized_cycles", out.exec.serialized_cycles);
-      reg.add("engine.shard.exec_overlapped_cycles", out.exec.overlapped_cycles);
-    }
+  const std::size_t cohort = std::max<std::size_t>(opts_.engine.warp_queries, 1);
+  std::vector<const std::vector<simt::StepPhase>*> cohort_steps;
+  for (std::size_t begin = 0; begin < n; begin += cohort) {
+    cohort_steps.clear();
+    const std::size_t end = std::min(n, begin + cohort);
+    for (std::size_t q = begin; q < end; ++q) cohort_steps.push_back(&step_slots[q]);
+    out.exec.merge(simt::pipeline_schedule(opts_.engine.gpu.device, cohort_steps));
+  }
+  if (out.exec.steps > 0) {
+    reg.add("engine.shard.exec_steps", out.exec.steps);
+    reg.add("engine.shard.exec_serialized_cycles", out.exec.serialized_cycles);
+    reg.add("engine.shard.exec_overlapped_cycles", out.exec.overlapped_cycles);
   }
   simt::KernelConfig cfg;
   cfg.blocks = static_cast<int>(std::max<std::size_t>(n, 1));
-  cfg.threads_per_block = block_threads_for(opts_.engine.algorithm, opts_.degree,
-                                            opts_.engine.gpu);
+  cfg.threads_per_block =
+      engine::block_threads_for(opts_.engine.algorithm, opts_.degree, opts_.engine.gpu);
   out.timing = simt::estimate(opts_.engine.gpu.device, out.metrics, cfg);
   return out;
 }
@@ -443,7 +414,7 @@ knn::QueryResult ShardedEngine::serve_query(std::span<const Scalar> q, simt::Met
       merged.offer(e.dist, sh.to_global[e.id]);
     }
     out.stats.merge(local.stats);
-    out.status = escalate(out.status, local.status);
+    out.status = std::max(out.status, local.status);
     out.budget_exhausted = out.budget_exhausted || local.budget_exhausted;
   }
   out.neighbors = merged.sorted();
@@ -487,60 +458,55 @@ knn::QueryResult ShardedEngine::run_shard_pass(Shard& sh, std::span<const Scalar
     }
   }
 
-  const auto run_algorithm = [&]() -> knn::QueryResult {
-    switch (algo) {
-      case Algorithm::kPsb:
-        return knn::psb_query(*sh.tree, q, gpu, &m);
-      case Algorithm::kBestFirst:
-        return knn::best_first_gpu_query(*sh.tree, q, gpu, &m);
-      case Algorithm::kBranchAndBound:
-        return knn::bnb_query(*sh.tree, q, gpu, &m);
-      case Algorithm::kStacklessRestart:
-        return knn::restart_query(*sh.tree, q, gpu, &m);
-      case Algorithm::kStacklessSkip:
-        return knn::skip_pointer_query(*sh.tree, q, gpu, &m);
-      case Algorithm::kImplicitStackless:
-        // With the shard's layout gone (verify() failed), the skip-pointer
-        // twin runs the identical preorder sweep on the pointer path — a
-        // typed, exact fallback counted by the per-shard gate above.
-        return gpu.implicit != nullptr ? knn::implicit_stackless_query(*sh.tree, q, gpu, &m)
-                                       : knn::skip_pointer_query(*sh.tree, q, gpu, &m);
-      case Algorithm::kBruteForce:
-        // The shard's exhaustive pass is the alive-aware scan (erased rows
-        // stay in the local PointSet but must not be answered).
-        return shard_scan(sh, q, m);
-      case Algorithm::kTaskParallel: {
-        knn::TaskParallelSsOptions tp;
-        tp.k = gpu.k;
-        tp.device = gpu.device;
-        tp.snapshot = gpu.snapshot;
-        tp.initial_prune_bound = gpu.initial_prune_bound;
-        return knn::task_parallel_sstree_query(*sh.tree, q, tp, &m);
-      }
-    }
-    throw InternalError("unreachable algorithm dispatch");
-  };
-
-  // Executor-scheduled form of run_algorithm (same traversal, same charges —
-  // see BatchEngine): completed passes append their resume steps to the
-  // query's stream; an abandoned attempt's steps are dropped.
-  const bool use_exec = opts_.engine.exec_schedule == engine::ExecSchedule::kExecutor;
+  // One pass as a resumable executor (same traversal, same charges as the
+  // knn::*_query functions — see BatchEngine): completed passes append their
+  // resume steps to the query's stream; an abandoned attempt's steps are
+  // dropped.
   const auto run_executor = [&]() -> knn::QueryResult {
     knn::QueryResult res;
+    const auto loop = [&](auto pass_fn) {
+      return exec::make_loop_executor([&res, pass_fn] { res = pass_fn(); }, gpu.device, &m,
+                                      engine::block_threads_for(algo, opts_.degree, gpu));
+    };
     std::unique_ptr<exec::Executor> ex;
     switch (algo) {
       case Algorithm::kStacklessSkip:
         ex = exec::make_skip_pointer_executor(*sh.tree, q, gpu, &m, res);
         break;
       case Algorithm::kImplicitStackless:
+        // With the shard's layout gone (verify() failed), the skip-pointer
+        // twin runs the identical preorder sweep on the pointer path — a
+        // typed, exact fallback counted by the per-shard gate above.
         ex = gpu.implicit != nullptr
                  ? exec::make_implicit_stackless_executor(*sh.tree, q, gpu, &m, res)
                  : exec::make_skip_pointer_executor(*sh.tree, q, gpu, &m, res);
         break;
-      default:
-        ex = exec::make_loop_executor([&res, &run_algorithm] { res = run_algorithm(); },
-                                      gpu.device, &m,
-                                      block_threads_for(algo, opts_.degree, gpu));
+      case Algorithm::kPsb:
+        ex = loop([&] { return knn::psb_query(*sh.tree, q, gpu, &m); });
+        break;
+      case Algorithm::kBestFirst:
+        ex = loop([&] { return knn::best_first_gpu_query(*sh.tree, q, gpu, &m); });
+        break;
+      case Algorithm::kBranchAndBound:
+        ex = loop([&] { return knn::bnb_query(*sh.tree, q, gpu, &m); });
+        break;
+      case Algorithm::kStacklessRestart:
+        ex = loop([&] { return knn::restart_query(*sh.tree, q, gpu, &m); });
+        break;
+      case Algorithm::kBruteForce:
+        // The shard's exhaustive pass is the alive-aware scan (erased rows
+        // stay in the local PointSet but must not be answered).
+        ex = loop([&] { return shard_scan(sh, q, m); });
+        break;
+      case Algorithm::kTaskParallel:
+        ex = loop([&] {
+          knn::TaskParallelSsOptions tp;
+          tp.k = gpu.k;
+          tp.device = gpu.device;
+          tp.snapshot = gpu.snapshot;
+          tp.initial_prune_bound = gpu.initial_prune_bound;
+          return knn::task_parallel_sstree_query(*sh.tree, q, tp, &m);
+        });
         break;
     }
     exec::drive(*ex);
@@ -550,7 +516,7 @@ knn::QueryResult ShardedEngine::run_shard_pass(Shard& sh, std::span<const Scalar
 
   knn::QueryResult r;
   try {
-    r = use_exec ? run_executor() : run_algorithm();
+    r = run_executor();
   } catch (const exec::ResumeFault&) {
     // A killed resume step abandons the suspended executor. The injected
     // kill is one-shot, so the fresh-executor rerun sees a quiet site and
@@ -584,16 +550,12 @@ knn::QueryResult ShardedEngine::run_shard_pass(Shard& sh, std::span<const Scalar
   }
   if (r.budget_exhausted) {
     ++ev[kEvBudgetExhausted];
-    if (opts_.engine.allow_brute_force_fallback) {
-      ++ev[kEvBruteFallbacks];
-      const knn::TraversalStats partial = r.stats;
-      r = shard_scan(sh, q, m);
-      r.stats.merge(partial);  // keep the abandoned traversal's work visible
-      r.status = knn::QueryStatus::kDegradedFallback;
-      r.budget_exhausted = true;
-    } else {
-      r.status = knn::QueryStatus::kDeadlinePartial;
-    }
+    ++ev[kEvBruteFallbacks];
+    const knn::TraversalStats partial = r.stats;
+    r = shard_scan(sh, q, m);
+    r.stats.merge(partial);  // keep the abandoned traversal's work visible
+    r.status = knn::QueryStatus::kDegradedFallback;
+    r.budget_exhausted = true;
   }
   return r;
 }
@@ -601,8 +563,7 @@ knn::QueryResult ShardedEngine::run_shard_pass(Shard& sh, std::span<const Scalar
 knn::QueryResult ShardedEngine::shard_scan(const Shard& sh, std::span<const Scalar> q,
                                            simt::Metrics& m) const {
   const knn::GpuKnnOptions& gpu = opts_.engine.gpu;
-  const int threads =
-      gpu.threads_per_block > 0 ? gpu.threads_per_block : kBruteForceDefaultThreads;
+  const int threads = engine::block_threads_for(Algorithm::kBruteForce, opts_.degree, gpu);
   simt::Block block(gpu.device, threads, &m);
   knn::QueryResult out;
   KnnHeap heap(std::min(gpu.k, sh.alive_count));
@@ -628,6 +589,7 @@ knn::QueryResult ShardedEngine::shard_scan(const Shard& sh, std::span<const Scal
 
 PointId ShardedEngine::insert(std::span<const Scalar> p) {
   PSB_REQUIRE(p.size() == dims_, "point dimensionality mismatch");
+  require_finite(p, "inserted point");
   obs::Registry& reg = obs::Registry::global();
   reg.add("engine.shard.inserts", 1);
 

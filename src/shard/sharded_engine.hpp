@@ -21,8 +21,8 @@
 // a dead (query, shard) slice — the engine.shard.slice fault — is rerun
 // once and then answered by an exact alive-mask-aware brute-force scan of
 // the shard (kDegradedFallback); DataFault retries on the pointer path then
-// brute-forces; budget exhaustion brute-forces or returns kDeadlinePartial.
-// Shard passes run as resumable executors (src/exec/) by default: a killed
+// brute-forces; budget exhaustion brute-forces (exact, kDegradedFallback).
+// Shard passes run as resumable executors (src/exec/): a killed
 // resume step — the exec.resume fault — reruns the pass on a fresh executor
 // and, failing that, falls to the exact shard scan, and the recorded resume
 // steps feed the stream-overlap model (engine.shard.exec_* counters).
@@ -50,8 +50,7 @@ struct ShardedEngineOptions {
   std::size_t degree = 64;
   ShardTreeBuilder builder = ShardTreeBuilder::kKMeans;
   /// Serving configuration shared by every shard pass (algorithm, k, gpu,
-  /// snapshot mode, fallback policy). deadline_ms only applies on the S=1
-  /// delegate path.
+  /// layout). deadline_ms only applies on the S=1 delegate path.
   engine::BatchEngineOptions engine{};
   /// Hand the running global k-th distance to later shards as their initial
   /// pruning bound, and skip shards whose bounding sphere cannot beat it.
@@ -61,16 +60,13 @@ struct ShardedEngineOptions {
   /// LRU result-cache entries; 0 disables the cache. Cache-enabled batches
   /// run single-threaded so hit/miss counters stay deterministic.
   std::size_t cache_capacity = 0;
-  /// Grid resolution (bits per axis) of the cache's quantized-cell keys.
-  int cache_cell_bits = 12;
-  /// Hilbert resolution of the range partitioner.
-  int hilbert_bits_per_dim = 16;
 };
 
 class ShardedEngine {
  public:
   /// Partition `data` and build every shard's index. The engine copies the
-  /// points it owns, so `data` need not outlive it.
+  /// points it owns, so `data` need not outlive it. Throws InvalidArgument
+  /// naming the first point with a NaN or infinite coordinate.
   ShardedEngine(const PointSet& data, ShardedEngineOptions opts);
   ~ShardedEngine();
   ShardedEngine(const ShardedEngine&) = delete;
@@ -101,7 +97,7 @@ class ShardedEngine {
 
   /// Insert a point online (routed to the shard whose bounding-sphere center
   /// is nearest); returns its new global id. Invalidates affected cache
-  /// entries.
+  /// entries. Throws InvalidArgument naming a NaN or infinite coordinate.
   PointId insert(std::span<const Scalar> p);
 
   /// Erase a point from its shard's index; returns false when the id is

@@ -180,7 +180,9 @@ TEST_P(ShardedDifferential, ScatterGatherMatchesBruteForceAcrossShardCounts) {
     opts.degree = 16;
     opts.engine.algorithm = GetParam();
     opts.engine.gpu.k = k;
-    opts.engine.use_snapshot = shards == 4;  // exercise both fetch paths
+    // Exercise both fetch paths.
+    opts.engine.layout =
+        shards == 4 ? engine::NodeLayout::kSnapshot : engine::NodeLayout::kPointer;
     shard::ShardedEngine eng(data, opts);
     const knn::BatchResult res = eng.run(queries);
     ASSERT_EQ(res.queries.size(), queries.size());
@@ -203,11 +205,12 @@ TEST_P(ShardedDifferential, SingleShardBitIdenticalToBatchEngine) {
   const PointSet data = data::make_uniform(4, 1200, 1000.0, /*seed=*/5150);
   const PointSet queries = test::random_queries(4, 8, /*seed=*/51);
 
-  for (const bool use_snapshot : {false, true}) {
+  for (const engine::NodeLayout node_layout :
+       {engine::NodeLayout::kPointer, engine::NodeLayout::kSnapshot}) {
     engine::BatchEngineOptions eopts;
     eopts.algorithm = GetParam();
     eopts.gpu.k = 10;
-    eopts.use_snapshot = use_snapshot;
+    eopts.layout = node_layout;
 
     const sstree::SSTree tree = sstree::build_kmeans(data, 16).tree;
     engine::BatchEngine unsharded(tree, eopts);
@@ -238,12 +241,13 @@ TEST_P(ShardedDifferential, SingleShardBitIdenticalToBatchEngine) {
     const shard::ShardedEngine::TracedRun got = eng.run_traced(queries);
     obs::Registry::Snapshot s2 = obs::Registry::global().snapshot();
     EXPECT_EQ(engine_counters(s0, s1), engine_counters(s1, s2))
-        << "registry counter deltas diverged (snapshot=" << use_snapshot << ")";
+        << "registry counter deltas diverged (layout="
+        << engine::node_layout_name(node_layout) << ")";
 
     ASSERT_EQ(got.result.queries.size(), want.result.queries.size());
     for (std::size_t q = 0; q < queries.size(); ++q) {
       const std::string label = "S1 vs BatchEngine query " + std::to_string(q) +
-                                (use_snapshot ? " (snapshot)" : "");
+                                " (" + std::string(engine::node_layout_name(node_layout)) + ")";
       expect_same_ids(got.result.queries[q].neighbors, want.result.queries[q].neighbors,
                       label);
       EXPECT_EQ(got.result.queries[q].status, want.result.queries[q].status) << label;
@@ -275,7 +279,8 @@ TEST_P(ShardedDifferential, SingleShardBitIdenticalToBatchEngine) {
       EXPECT_EQ(gt.queries[q].query_index, wt.queries[q].query_index);
       for (std::size_t c = 0; c < obs::kNumTraceCounters; ++c) {
         EXPECT_EQ(gt.queries[q].counters[c], wt.queries[q].counters[c])
-            << "trace counter " << c << " query " << q << " snapshot=" << use_snapshot;
+            << "trace counter " << c << " query " << q << " layout="
+            << engine::node_layout_name(node_layout);
       }
     }
   }

@@ -1,21 +1,40 @@
-// The executor-schedule bit-identity contract: serving a batch through the
-// resumable executors (ExecSchedule::kExecutor, the default) must reproduce
-// the legacy run-to-completion loops bit-for-bit — same neighbors, statuses,
-// traversal stats, device Metrics, cost-model timing, and per-query traces —
-// across every algorithm, the offline / sharded / streamed paths, snapshot
-// cohorts, host thread counts and query reordering. The only observable the
-// executor path may add is the exec overlap namespace itself.
+// The executor bit-identity contract: the engines drive every query through a
+// resumable executor (src/exec/), and that must reproduce the
+// run-to-completion knn::*_query functions bit-for-bit — same neighbors,
+// statuses, traversal stats, device Metrics, cost-model timing, and
+// per-query traces — across every algorithm, the offline / sharded /
+// streamed paths, snapshot cohorts, host thread counts and query
+// reordering. The references below drive those free functions per query,
+// spelling out the engines' documented schedule: one shared FetchSession
+// per warp cohort, totals merged in query order. The only thing the engines
+// add is the exec overlap namespace.
+#include <algorithm>
+#include <cmath>
+#include <map>
+#include <memory>
+#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "engine/batch_engine.hpp"
-#include "obs/registry.hpp"
+#include "hilbert/hilbert.hpp"
+#include "knn/best_first.hpp"
+#include "knn/branch_and_bound.hpp"
+#include "knn/brute_force.hpp"
+#include "knn/implicit_stackless.hpp"
+#include "knn/psb.hpp"
+#include "knn/stackless_baselines.hpp"
+#include "knn/task_parallel_sstree.hpp"
+#include "layout/fetch.hpp"
+#include "obs/trace.hpp"
 #include "serve/arrivals.hpp"
 #include "serve/streaming_engine.hpp"
+#include "shard/partition.hpp"
 #include "shard/sharded_engine.hpp"
+#include "simt/cost_model.hpp"
+#include "simt/sort.hpp"
 #include "sstree/builders.hpp"
 #include "test_util.hpp"
 
@@ -25,7 +44,6 @@ namespace {
 using engine::Algorithm;
 using engine::BatchEngine;
 using engine::BatchEngineOptions;
-using engine::ExecSchedule;
 
 constexpr Algorithm kAllAlgorithms[] = {
     Algorithm::kPsb,           Algorithm::kBestFirst,
@@ -44,12 +62,123 @@ struct Workload {
                built(sstree::build_kmeans(data, 16, {})) {}
 };
 
-void expect_batch_identical(const knn::BatchResult& exec, const knn::BatchResult& legacy,
+/// One query through the algorithm's run-to-completion free function.
+knn::QueryResult query_fn(Algorithm a, const sstree::SSTree& tree, std::span<const Scalar> q,
+                          const knn::GpuKnnOptions& gpu, simt::Metrics* m) {
+  switch (a) {
+    case Algorithm::kPsb: return knn::psb_query(tree, q, gpu, m);
+    case Algorithm::kBestFirst: return knn::best_first_gpu_query(tree, q, gpu, m);
+    case Algorithm::kBranchAndBound: return knn::bnb_query(tree, q, gpu, m);
+    case Algorithm::kStacklessRestart: return knn::restart_query(tree, q, gpu, m);
+    case Algorithm::kStacklessSkip: return knn::skip_pointer_query(tree, q, gpu, m);
+    case Algorithm::kImplicitStackless: return knn::implicit_stackless_query(tree, q, gpu, m);
+    case Algorithm::kBruteForce: return knn::brute_force_query(tree.data(), q, gpu, m);
+    case Algorithm::kTaskParallel: break;
+  }
+  ADD_FAILURE() << "no per-query free function for " << engine::algorithm_name(a);
+  return {};
+}
+
+/// Fold per-query results (query order) into a batch, with the cost-model
+/// timing every engine derives and one trace per query under `name`.
+BatchEngine::TracedRun fold_batch(std::vector<knn::QueryResult> results,
+                                  const std::vector<simt::Metrics>& metrics,
+                                  const simt::DeviceSpec& device, int threads_per_block,
+                                  std::string_view name) {
+  BatchEngine::TracedRun out;
+  obs::AlgorithmTrace trace{std::string(name), {}};
+  for (std::size_t q = 0; q < results.size(); ++q) {
+    out.result.stats.merge(results[q].stats);
+    out.result.metrics.merge(metrics[q]);
+    trace.queries.push_back(knn::make_query_trace(q, results[q].stats, metrics[q]));
+  }
+  if (!results.empty()) out.trace.algorithms.push_back(std::move(trace));
+  out.result.queries = std::move(results);
+  simt::KernelConfig cfg;
+  cfg.blocks = static_cast<int>(std::max<std::size_t>(out.result.queries.size(), 1));
+  cfg.threads_per_block = threads_per_block;
+  out.result.timing = simt::estimate(device, out.result.metrics, cfg);
+  return out;
+}
+
+/// BatchEngine's schedule spelled out with the free functions: queries run
+/// in execution order (identity, or the batch's Hilbert order), cohorts of
+/// warp_queries consecutive queries share one FetchSession over the arena in
+/// use (the implicit one wins), and totals merge in query order. `snap` and
+/// `impl` are arenas the test builds over the same tree.
+BatchEngine::TracedRun reference_batch(const sstree::SSTree& tree, const PointSet& queries,
+                                       const BatchEngineOptions& opts,
+                                       const layout::TraversalSnapshot* snap,
+                                       const layout::ImplicitLayout* impl) {
+  const std::size_t n = queries.size();
+  if (opts.algorithm == Algorithm::kTaskParallel) {
+    // No per-query entry point: the engine serves it through its batch
+    // driver, which emits its own traces (the reorder cases exclude it).
+    knn::TaskParallelSsOptions tp;
+    tp.k = opts.gpu.k;
+    tp.device = opts.gpu.device;
+    tp.snapshot = snap;
+    obs::TraceSession session;
+    BatchEngine::TracedRun out;
+    out.result = knn::task_parallel_sstree_knn(tree, queries, tp);
+    out.trace = session.report();
+    return out;
+  }
+
+  std::vector<std::size_t> order(n);
+  for (std::size_t i = 0; i < n; ++i) order[i] = i;
+  if (opts.reorder_queries && n > 1) {
+    const hilbert::Encoder enc(tree.dims(), 16);
+    const std::vector<std::uint64_t> keys = enc.encode_all(queries);
+    const std::vector<PointId> perm = simt::radix_sort_order(keys, enc.words_per_key());
+    for (std::size_t i = 0; i < n; ++i) order[i] = perm[i];
+  }
+
+  std::vector<knn::QueryResult> results(n);
+  std::vector<simt::Metrics> metrics(n);
+  const std::size_t cohort =
+      snap != nullptr || impl != nullptr ? std::max<std::size_t>(opts.warp_queries, 1) : 1;
+  for (std::size_t begin = 0; begin < n; begin += cohort) {
+    knn::GpuKnnOptions gpu = opts.gpu;
+    gpu.snapshot = snap;
+    gpu.implicit = impl;
+    std::optional<layout::FetchSession> session;
+    if (cohort > 1) {
+      if (impl != nullptr) {
+        session.emplace(*impl);
+      } else {
+        session.emplace(*snap);
+      }
+      gpu.fetch_session = &*session;
+    }
+    for (std::size_t s = begin; s < std::min(n, begin + cohort); ++s) {
+      const std::size_t q = order[s];
+      results[q] = query_fn(opts.algorithm, tree, queries[q], gpu, &metrics[q]);
+    }
+  }
+  return fold_batch(std::move(results), metrics, opts.gpu.device,
+                    engine::block_threads_for(opts.algorithm, tree.degree(), opts.gpu),
+                    engine::algorithm_name(opts.algorithm));
+}
+
+struct Arenas {
+  std::optional<layout::TraversalSnapshot> snap;
+  std::optional<layout::ImplicitLayout> impl;
+
+  Arenas(const sstree::SSTree& tree, const BatchEngineOptions& opts) {
+    if (opts.needs_snapshot()) snap.emplace(tree);
+    if (opts.needs_implicit_layout()) impl.emplace(tree);
+  }
+  const layout::TraversalSnapshot* snapshot() const { return snap ? &*snap : nullptr; }
+  const layout::ImplicitLayout* implicit() const { return impl ? &*impl : nullptr; }
+};
+
+void expect_batch_identical(const knn::BatchResult& got, const knn::BatchResult& want,
                             const std::string& label) {
-  ASSERT_EQ(exec.queries.size(), legacy.queries.size()) << label;
-  for (std::size_t q = 0; q < exec.queries.size(); ++q) {
-    const knn::QueryResult& a = exec.queries[q];
-    const knn::QueryResult& b = legacy.queries[q];
+  ASSERT_EQ(got.queries.size(), want.queries.size()) << label;
+  for (std::size_t q = 0; q < got.queries.size(); ++q) {
+    const knn::QueryResult& a = got.queries[q];
+    const knn::QueryResult& b = want.queries[q];
     const std::string at = label + " query " + std::to_string(q);
     ASSERT_EQ(a.neighbors.size(), b.neighbors.size()) << at;
     for (std::size_t i = 0; i < a.neighbors.size(); ++i) {
@@ -67,31 +196,28 @@ void expect_batch_identical(const knn::BatchResult& exec, const knn::BatchResult
     EXPECT_EQ(a.stats.heap_pushes, b.stats.heap_pushes) << at;
   }
   // Aggregated device counters and the cost-model timing derived from them
-  // must be bit-identical (the executors perform the exact legacy charge
-  // sequence, so even the double-precision timing cannot drift).
-  EXPECT_EQ(exec.metrics.warp_instructions, legacy.metrics.warp_instructions) << label;
-  EXPECT_EQ(exec.metrics.active_lane_slots, legacy.metrics.active_lane_slots) << label;
-  EXPECT_EQ(exec.metrics.serial_ops, legacy.metrics.serial_ops) << label;
-  EXPECT_EQ(exec.metrics.divergent_steps, legacy.metrics.divergent_steps) << label;
-  EXPECT_EQ(exec.metrics.bytes_coalesced, legacy.metrics.bytes_coalesced) << label;
-  EXPECT_EQ(exec.metrics.bytes_random, legacy.metrics.bytes_random) << label;
-  EXPECT_EQ(exec.metrics.bytes_cached, legacy.metrics.bytes_cached) << label;
-  EXPECT_EQ(exec.metrics.node_fetches, legacy.metrics.node_fetches) << label;
-  EXPECT_EQ(exec.metrics.fetches_random, legacy.metrics.fetches_random) << label;
-  EXPECT_EQ(exec.metrics.fetches_cached, legacy.metrics.fetches_cached) << label;
-  EXPECT_EQ(exec.timing.wall_ms, legacy.timing.wall_ms) << label;
-  EXPECT_EQ(exec.timing.avg_query_ms, legacy.timing.avg_query_ms) << label;
-  // The overlap totals are the one permitted divergence: populated by the
-  // executor schedule, all-zero on the legacy path.
-  EXPECT_EQ(legacy.exec.steps, 0u) << label;
+  // must be bit-identical (the executors perform the free functions' exact
+  // charge sequence, so even the double-precision timing cannot drift).
+  EXPECT_EQ(got.metrics.warp_instructions, want.metrics.warp_instructions) << label;
+  EXPECT_EQ(got.metrics.active_lane_slots, want.metrics.active_lane_slots) << label;
+  EXPECT_EQ(got.metrics.serial_ops, want.metrics.serial_ops) << label;
+  EXPECT_EQ(got.metrics.divergent_steps, want.metrics.divergent_steps) << label;
+  EXPECT_EQ(got.metrics.bytes_coalesced, want.metrics.bytes_coalesced) << label;
+  EXPECT_EQ(got.metrics.bytes_random, want.metrics.bytes_random) << label;
+  EXPECT_EQ(got.metrics.bytes_cached, want.metrics.bytes_cached) << label;
+  EXPECT_EQ(got.metrics.node_fetches, want.metrics.node_fetches) << label;
+  EXPECT_EQ(got.metrics.fetches_random, want.metrics.fetches_random) << label;
+  EXPECT_EQ(got.metrics.fetches_cached, want.metrics.fetches_cached) << label;
+  EXPECT_EQ(got.timing.wall_ms, want.timing.wall_ms) << label;
+  EXPECT_EQ(got.timing.avg_query_ms, want.timing.avg_query_ms) << label;
 }
 
-void expect_traces_identical(const obs::TraceReport& exec, const obs::TraceReport& legacy,
+void expect_traces_identical(const obs::TraceReport& got, const obs::TraceReport& want,
                              const std::string& label) {
-  ASSERT_EQ(exec.algorithms.size(), legacy.algorithms.size()) << label;
-  for (std::size_t a = 0; a < exec.algorithms.size(); ++a) {
-    const obs::AlgorithmTrace& ta = exec.algorithms[a];
-    const obs::AlgorithmTrace& tb = legacy.algorithms[a];
+  ASSERT_EQ(got.algorithms.size(), want.algorithms.size()) << label;
+  for (std::size_t a = 0; a < got.algorithms.size(); ++a) {
+    const obs::AlgorithmTrace& ta = got.algorithms[a];
+    const obs::AlgorithmTrace& tb = want.algorithms[a];
     EXPECT_EQ(ta.algorithm, tb.algorithm) << label;
     ASSERT_EQ(ta.queries.size(), tb.queries.size()) << label << " " << ta.algorithm;
     for (std::size_t q = 0; q < ta.queries.size(); ++q) {
@@ -105,20 +231,27 @@ void expect_traces_identical(const obs::TraceReport& exec, const obs::TraceRepor
   }
 }
 
-void run_both_and_compare(const sstree::SSTree& tree, const PointSet& queries,
-                          BatchEngineOptions opts, const std::string& label) {
-  opts.exec_schedule = ExecSchedule::kExecutor;
-  const BatchEngine exec_eng(tree, opts);
-  const BatchEngine::TracedRun exec_run = exec_eng.run_traced(queries);
+void run_and_compare(const sstree::SSTree& tree, const PointSet& queries,
+                     const BatchEngineOptions& opts, const std::string& label) {
+  const BatchEngine eng(tree, opts);
+  const BatchEngine::TracedRun got = eng.run_traced(queries);
 
-  opts.exec_schedule = ExecSchedule::kLegacy;
-  const BatchEngine legacy_eng(tree, opts);
-  const BatchEngine::TracedRun legacy_run = legacy_eng.run_traced(queries);
+  const Arenas arenas(tree, opts);
+  const BatchEngine::TracedRun want =
+      reference_batch(tree, queries, opts, arenas.snapshot(), arenas.implicit());
 
-  expect_batch_identical(exec_run.result, legacy_run.result, label);
-  expect_traces_identical(exec_run.trace, legacy_run.trace, label);
+  expect_batch_identical(got.result, want.result, label);
+  expect_traces_identical(got.trace, want.trace, label);
+  // Every per-query executor records at least one resume step; only the
+  // task-parallel batch driver runs outside them.
+  if (opts.algorithm != Algorithm::kTaskParallel) {
+    EXPECT_GT(got.result.exec.steps, 0u) << label;
+  }
 }
 
+// The `*ExecutorEqualsLegacy*` names are kept so the test IDs stay stable;
+// "legacy" is now the per-query `knn::*_query` free functions that the
+// references in this file drive, not a second engine schedule.
 TEST(ExecMetamorphicTest, ExecutorEqualsLegacyEveryAlgorithm) {
   const Workload w;
   for (const Algorithm a : kAllAlgorithms) {
@@ -126,8 +259,8 @@ TEST(ExecMetamorphicTest, ExecutorEqualsLegacyEveryAlgorithm) {
     opts.algorithm = a;
     opts.gpu.k = 6;
     opts.num_threads = 1;
-    run_both_and_compare(w.built.tree, w.queries, opts,
-                         std::string(engine::algorithm_name(a)) + " base");
+    run_and_compare(w.built.tree, w.queries, opts,
+                    std::string(engine::algorithm_name(a)) + " base");
   }
 }
 
@@ -137,11 +270,11 @@ TEST(ExecMetamorphicTest, ExecutorEqualsLegacySnapshotCohorts) {
     BatchEngineOptions opts;
     opts.algorithm = a;
     opts.gpu.k = 6;
-    opts.use_snapshot = true;
+    opts.layout = engine::NodeLayout::kSnapshot;
     opts.warp_queries = 4;
     opts.num_threads = 1;
-    run_both_and_compare(w.built.tree, w.queries, opts,
-                         std::string(engine::algorithm_name(a)) + " snapshot");
+    run_and_compare(w.built.tree, w.queries, opts,
+                    std::string(engine::algorithm_name(a)) + " snapshot");
   }
 }
 
@@ -152,12 +285,12 @@ TEST(ExecMetamorphicTest, ExecutorEqualsLegacyUnderQueryReorder) {
     BatchEngineOptions opts;
     opts.algorithm = a;
     opts.gpu.k = 6;
-    opts.use_snapshot = true;
+    opts.layout = engine::NodeLayout::kSnapshot;
     opts.reorder_queries = true;
     opts.warp_queries = 4;
     opts.num_threads = 1;
-    run_both_and_compare(w.built.tree, w.queries, opts,
-                         std::string(engine::algorithm_name(a)) + " reorder");
+    run_and_compare(w.built.tree, w.queries, opts,
+                    std::string(engine::algorithm_name(a)) + " reorder");
   }
 }
 
@@ -167,12 +300,83 @@ TEST(ExecMetamorphicTest, ExecutorEqualsLegacyMultiThreaded) {
     BatchEngineOptions opts;
     opts.algorithm = a;
     opts.gpu.k = 6;
-    opts.use_snapshot = true;
+    opts.layout = engine::NodeLayout::kSnapshot;
     opts.warp_queries = 4;
     opts.num_threads = 4;
-    run_both_and_compare(w.built.tree, w.queries, opts,
-                         std::string(engine::algorithm_name(a)) + " threads=4");
+    run_and_compare(w.built.tree, w.queries, opts,
+                    std::string(engine::algorithm_name(a)) + " threads=4");
   }
+}
+
+/// ShardedEngine's scatter-gather spelled out with the free functions: the
+/// same Hilbert partition, shards visited in ascending MINDIST to their
+/// bounding sphere, the running global k-th distance seeding later passes
+/// and skipping shards that cannot beat it. Shard trees come from the
+/// engine; their arenas and spheres are rebuilt here.
+knn::BatchResult reference_sharded(const shard::ShardedEngine& eng, const PointSet& data,
+                                   const PointSet& queries) {
+  const shard::ShardedEngineOptions& opts = eng.options();
+  const Algorithm algo = opts.engine.algorithm;
+  const shard::Partition part = shard::hilbert_partition(data, eng.num_shards());
+  struct RefShard {
+    const sstree::SSTree* tree;
+    const std::vector<PointId>* to_global;
+    std::unique_ptr<Arenas> arenas;
+    Sphere bounds;
+  };
+  std::vector<RefShard> shards;
+  for (std::size_t s = 0; s < eng.num_shards(); ++s) {
+    const sstree::SSTree* tree = eng.shard_tree(s);
+    if (tree == nullptr) continue;
+    RefShard sh{tree, &part.shards[s], std::make_unique<Arenas>(*tree, opts.engine), {}};
+    // Centroid sphere over every point, one ULP of radius slack.
+    const PointSet& pts = tree->data();
+    std::vector<double> centroid(data.dims(), 0);
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+      for (std::size_t t = 0; t < data.dims(); ++t) centroid[t] += pts[i][t];
+    }
+    sh.bounds.center.resize(data.dims());
+    for (std::size_t t = 0; t < data.dims(); ++t) {
+      sh.bounds.center[t] = static_cast<Scalar>(centroid[t] / static_cast<double>(pts.size()));
+    }
+    Scalar radius = 0;
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+      radius = std::max(radius, distance(sh.bounds.center, pts[i]));
+    }
+    sh.bounds.radius = std::nextafter(radius, kInfinity);
+    shards.push_back(std::move(sh));
+  }
+
+  const std::size_t k = opts.engine.gpu.k;
+  std::vector<knn::QueryResult> results(queries.size());
+  std::vector<simt::Metrics> metrics(queries.size());
+  for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+    const std::span<const Scalar> q = queries[qi];
+    std::vector<std::pair<Scalar, std::size_t>> visits;
+    for (std::size_t s = 0; s < shards.size(); ++s) {
+      visits.emplace_back(mindist(q, shards[s].bounds), s);
+    }
+    std::sort(visits.begin(), visits.end());
+    KnnHeap merged(std::min(k, data.size()));
+    for (const auto& [mind, s] : visits) {
+      const bool bounded = opts.share_bounds && merged.full();
+      if (bounded && mind > std::nextafter(merged.bound(), kInfinity)) continue;
+      knn::GpuKnnOptions gpu = opts.engine.gpu;
+      gpu.initial_prune_bound = bounded ? merged.bound() : kInfinity;
+      gpu.snapshot = shards[s].arenas->snapshot();
+      gpu.implicit = shards[s].arenas->implicit();
+      const knn::QueryResult local = query_fn(algo, *shards[s].tree, q, gpu, &metrics[qi]);
+      for (const KnnHeap::Entry& e : local.neighbors) {
+        merged.offer(e.dist, (*shards[s].to_global)[e.id]);
+      }
+      results[qi].stats.merge(local.stats);
+    }
+    results[qi].neighbors = merged.sorted();
+  }
+  return fold_batch(std::move(results), metrics, opts.engine.gpu.device,
+                    engine::block_threads_for(algo, opts.degree, opts.engine.gpu),
+                    engine::algorithm_name(algo))
+      .result;
 }
 
 TEST(ExecMetamorphicTest, ShardedExecutorEqualsLegacy) {
@@ -184,20 +388,15 @@ TEST(ExecMetamorphicTest, ShardedExecutorEqualsLegacy) {
     sopts.degree = 16;
     sopts.engine.algorithm = a;
     sopts.engine.gpu.k = 6;
-    sopts.engine.use_snapshot = true;
+    sopts.engine.layout = engine::NodeLayout::kSnapshot;
     sopts.engine.num_threads = 1;
 
-    sopts.engine.exec_schedule = ExecSchedule::kExecutor;
-    shard::ShardedEngine exec_eng(w.data, sopts);
-    const knn::BatchResult exec_res = exec_eng.run(w.queries);
+    shard::ShardedEngine eng(w.data, sopts);
+    const knn::BatchResult got = eng.run(w.queries);
+    const knn::BatchResult want = reference_sharded(eng, w.data, w.queries);
 
-    sopts.engine.exec_schedule = ExecSchedule::kLegacy;
-    shard::ShardedEngine legacy_eng(w.data, sopts);
-    const knn::BatchResult legacy_res = legacy_eng.run(w.queries);
-
-    expect_batch_identical(exec_res, legacy_res,
-                           std::string(engine::algorithm_name(a)) + " sharded");
-    EXPECT_GT(exec_res.exec.steps, 0u) << engine::algorithm_name(a);
+    expect_batch_identical(got, want, std::string(engine::algorithm_name(a)) + " sharded");
+    EXPECT_GT(got.exec.steps, 0u) << engine::algorithm_name(a);
   }
 }
 
@@ -213,85 +412,51 @@ TEST(ExecMetamorphicTest, StreamedExecutorEqualsLegacy) {
   serve::StreamingOptions so;
   so.engine.algorithm = Algorithm::kStacklessSkip;
   so.engine.gpu.k = 6;
-  so.engine.use_snapshot = true;
+  so.engine.layout = engine::NodeLayout::kSnapshot;
   so.engine.num_threads = 1;
   so.buffer_capacity = 4;
   so.engine.warp_queries = 4;
   so.admission_queue_bound = 0;  // nothing shed: every arrival is comparable
   so.cell_bits = 2;
 
-  so.engine.exec_schedule = ExecSchedule::kExecutor;
-  serve::StreamingEngine exec_eng(w.built.tree, so);
-  const serve::StreamingReport exec_rep = exec_eng.run(stream);
+  serve::StreamingEngine eng(w.built.tree, so);
+  const serve::StreamingReport rep = eng.run(stream);
 
-  so.engine.exec_schedule = ExecSchedule::kLegacy;
-  serve::StreamingEngine legacy_eng(w.built.tree, so);
-  const serve::StreamingReport legacy_rep = legacy_eng.run(stream);
-
-  // The virtual-clock schedule is a pure function of the backend's
-  // cost-model timing, which the executor path reproduces bit-for-bit — so
-  // every latency, flush assignment and counter must agree exactly.
-  ASSERT_EQ(exec_rep.queries.size(), legacy_rep.queries.size());
-  for (std::size_t i = 0; i < exec_rep.queries.size(); ++i) {
-    const serve::StreamedQuery& a = exec_rep.queries[i];
-    const serve::StreamedQuery& b = legacy_rep.queries[i];
-    ASSERT_EQ(a.neighbors.size(), b.neighbors.size()) << "arrival " << i;
-    for (std::size_t r = 0; r < a.neighbors.size(); ++r) {
-      EXPECT_EQ(a.neighbors[r].id, b.neighbors[r].id) << "arrival " << i;
-      EXPECT_EQ(a.neighbors[r].dist, b.neighbors[r].dist) << "arrival " << i;
-    }
-    EXPECT_EQ(a.status, b.status) << "arrival " << i;
-    EXPECT_EQ(a.latency_us, b.latency_us) << "arrival " << i;
-    EXPECT_EQ(a.flush_id, b.flush_id) << "arrival " << i;
+  // Each flush is one BatchEngine batch of its cell's pending arrivals,
+  // oldest first: replay every flush through the free-function reference.
+  // The virtual-clock latencies are a pure function of the batch timing the
+  // BatchEngine cases above pin to the reference.
+  std::map<std::uint64_t, std::vector<std::size_t>> flushes;
+  for (std::size_t i = 0; i < rep.queries.size(); ++i) {
+    ASSERT_FALSE(rep.queries[i].shed) << "arrival " << i;
+    flushes[rep.queries[i].flush_id].push_back(i);
   }
-  EXPECT_EQ(exec_rep.flushes, legacy_rep.flushes);
-  EXPECT_EQ(exec_rep.span_us, legacy_rep.span_us);
-  EXPECT_EQ(exec_rep.accessed_bytes, legacy_rep.accessed_bytes);
-  EXPECT_EQ(exec_rep.deadline_misses, legacy_rep.deadline_misses);
-  // The streamed path rides the executor schedule by default and surfaces
-  // its overlap totals; the legacy run reports none.
-  EXPECT_GT(exec_rep.exec.steps, 0u);
-  EXPECT_EQ(legacy_rep.exec.steps, 0u);
-}
-
-TEST(ExecMetamorphicTest, RegistryDiffIsOnlyExecNamespace) {
-  const Workload w;
-  BatchEngineOptions opts;
-  opts.algorithm = Algorithm::kStacklessSkip;
-  opts.gpu.k = 6;
-  opts.use_snapshot = true;
-  opts.warp_queries = 4;
-  opts.num_threads = 1;
-
-  const auto counters_for = [&](ExecSchedule s) {
-    opts.exec_schedule = s;
-    obs::Registry::global().reset();
-    const BatchEngine eng(w.built.tree, opts);
-    (void)eng.run(w.queries);
-    return obs::Registry::global().snapshot();
-  };
-  const obs::Registry::Snapshot legacy = counters_for(ExecSchedule::kLegacy);
-  const obs::Registry::Snapshot exec = counters_for(ExecSchedule::kExecutor);
-
-  const auto value = [](const obs::Registry::Snapshot& s, std::string_view name) {
-    for (const auto& [n, v] : s.counters) {
-      if (n == name) return v;
-    }
-    return std::uint64_t{0};
-  };
-  // Every legacy counter survives unchanged; everything the executor path
-  // adds lives under engine.exec.* (the resume-fault counter exists in both
-  // schedules and stays zero without an injection scope).
-  for (const auto& [name, v] : legacy.counters) {
-    EXPECT_EQ(value(exec, name), v) << name;
-  }
-  for (const auto& [name, v] : exec.counters) {
-    if (value(legacy, name) != v) {
-      EXPECT_TRUE(std::string_view(name).substr(0, 12) == "engine.exec.")
-          << name << " changed between schedules";
+  EXPECT_EQ(flushes.size(), rep.flushes);
+  const Arenas arenas(w.built.tree, so.engine);
+  std::uint64_t accessed_bytes = 0;
+  for (const auto& [flush, arrivals] : flushes) {
+    PointSet cohort(w.data.dims());
+    for (const std::size_t i : arrivals) cohort.append(stream.queries[i]);
+    const knn::BatchResult want =
+        reference_batch(w.built.tree, cohort, so.engine, arenas.snapshot(), arenas.implicit())
+            .result;
+    accessed_bytes += want.metrics.total_bytes();
+    for (std::size_t j = 0; j < arrivals.size(); ++j) {
+      const serve::StreamedQuery& a = rep.queries[arrivals[j]];
+      const knn::QueryResult& b = want.queries[j];
+      ASSERT_EQ(a.neighbors.size(), b.neighbors.size()) << "arrival " << arrivals[j];
+      for (std::size_t r = 0; r < a.neighbors.size(); ++r) {
+        EXPECT_EQ(a.neighbors[r].id, b.neighbors[r].id) << "arrival " << arrivals[j];
+        EXPECT_EQ(a.neighbors[r].dist, b.neighbors[r].dist) << "arrival " << arrivals[j];
+      }
+      if (!a.deadline_missed) {
+        EXPECT_EQ(a.status, b.status) << "arrival " << arrivals[j];
+      }
     }
   }
-  EXPECT_GT(value(exec, "engine.exec.steps"), 0u);
+  EXPECT_EQ(rep.accessed_bytes, accessed_bytes);
+  // The streamed path rides the executors and surfaces their overlap totals.
+  EXPECT_GT(rep.exec.steps, 0u);
 }
 
 }  // namespace

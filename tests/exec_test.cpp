@@ -4,8 +4,8 @@
 //     a lone query (or a single-step adapter) schedules fully serialized,
 //     ratio exactly 1.0, while two interleavable queries strictly beat the
 //     serialized sum.
-//   * Driving an executor to completion reproduces the legacy per-query
-//     function bit-for-bit (answer, stats, Metrics), with one recorded step
+//   * Driving an executor to completion reproduces its run-to-completion
+//     knn::*_query function bit-for-bit (answer, stats, Metrics), with one recorded step
 //     per leaf reduction.
 //   * The exec.resume fault site degrades by the counted policy: one kill is
 //     masked by a fresh-executor rerun, a double kill falls to the flagged
@@ -221,14 +221,6 @@ TEST(ExecutorTest, LoopExecutorRecordsOneOpaqueStep) {
   EXPECT_DOUBLE_EQ(ex->steps()[0].compute_us, 0.0);
 }
 
-TEST(ExecutorTest, ExecScheduleNamesRoundTrip) {
-  EXPECT_EQ(engine::exec_schedule_name(engine::ExecSchedule::kExecutor), "executor");
-  EXPECT_EQ(engine::exec_schedule_name(engine::ExecSchedule::kLegacy), "legacy");
-  EXPECT_EQ(engine::parse_exec_schedule("executor"), engine::ExecSchedule::kExecutor);
-  EXPECT_EQ(engine::parse_exec_schedule("legacy"), engine::ExecSchedule::kLegacy);
-  EXPECT_THROW(engine::parse_exec_schedule("eager"), InvalidArgument);
-}
-
 std::uint64_t counter_value(const obs::Registry::Snapshot& s, std::string_view name) {
   for (const auto& [n, v] : s.counters) {
     if (n == name) return v;
@@ -240,7 +232,7 @@ engine::BatchEngineOptions cohort_options(engine::Algorithm a) {
   engine::BatchEngineOptions opts;
   opts.algorithm = a;
   opts.gpu.k = 6;
-  opts.use_snapshot = true;
+  opts.layout = engine::NodeLayout::kSnapshot;
   opts.warp_queries = 4;
   opts.num_threads = 1;
   return opts;
@@ -250,21 +242,31 @@ TEST(ExecutorTest, BatchEngineExportsOverlapTotals) {
   const Workload w;
   const engine::BatchEngine eng(w.built.tree,
                                 cohort_options(engine::Algorithm::kStacklessSkip));
+  const obs::Registry::Snapshot before = obs::Registry::global().snapshot();
   const knn::BatchResult res = eng.run(w.queries);
+  const obs::Registry::Snapshot after = obs::Registry::global().snapshot();
   EXPECT_GT(res.exec.steps, 0u);
+  // The registry carries the same totals under engine.exec.*.
+  const auto delta = [&](std::string_view name) {
+    return counter_value(after, name) - counter_value(before, name);
+  };
+  EXPECT_EQ(delta("engine.exec.steps"), res.exec.steps);
+  EXPECT_EQ(delta("engine.exec.serialized_cycles"), res.exec.serialized_cycles);
+  EXPECT_EQ(delta("engine.exec.overlapped_cycles"), res.exec.overlapped_cycles);
   EXPECT_GT(res.exec.serialized_cycles, 0u);
   // Snapshot cohorts of 4 interleavable queries must beat (or at worst tie)
   // the serialized schedule, and never exceed it.
   EXPECT_LE(res.exec.overlapped_cycles, res.exec.serialized_cycles);
   EXPECT_LE(res.exec.ratio(), 1.0);
 
-  engine::BatchEngineOptions legacy = cohort_options(engine::Algorithm::kStacklessSkip);
-  legacy.exec_schedule = engine::ExecSchedule::kLegacy;
-  const engine::BatchEngine legacy_eng(w.built.tree, legacy);
-  const knn::BatchResult legacy_res = legacy_eng.run(w.queries);
-  EXPECT_EQ(legacy_res.exec.steps, 0u);
-  EXPECT_EQ(legacy_res.exec.serialized_cycles, 0u);
-  EXPECT_DOUBLE_EQ(legacy_res.exec.ratio(), 1.0);
+  // On the pointer path every query is its own cohort: a lone dependent
+  // chain is never credited overlap, so the schedule stays fully serialized.
+  engine::BatchEngineOptions lone = cohort_options(engine::Algorithm::kStacklessSkip);
+  lone.layout = engine::NodeLayout::kPointer;
+  const knn::BatchResult lone_res = engine::BatchEngine(w.built.tree, lone).run(w.queries);
+  EXPECT_GT(lone_res.exec.steps, 0u);
+  EXPECT_EQ(lone_res.exec.overlapped_cycles, lone_res.exec.serialized_cycles);
+  EXPECT_DOUBLE_EQ(lone_res.exec.ratio(), 1.0);
 }
 
 TEST(ExecutorFaultTest, OneResumeKillIsMaskedByRerun) {

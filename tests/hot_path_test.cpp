@@ -1,9 +1,9 @@
 // Equivalence tests for the host hot path: the fused leaf kernel
 // (SharedKnnList::scan_leaf), the replace-top KnnHeap and the skipped
 // MINMAXDIST selection must keep exactly the answers, pruning distances and
-// modeled charges of the straightforward forms they replace. Also the query
-// entry points' rejection of non-finite coordinates, which the exact early
-// reject relies on.
+// modeled charges of the straightforward forms they replace. Also the query,
+// join-target, dataset and insert entry points' rejection of non-finite
+// coordinates, which the exact early reject and the shard spheres rely on.
 #include <algorithm>
 #include <cmath>
 #include <limits>
@@ -15,6 +15,7 @@
 
 #include "common/rng.hpp"
 #include "engine/batch_engine.hpp"
+#include "join/join_engine.hpp"
 #include "knn/detail/traversal_common.hpp"
 #include "knn/shared_heap.hpp"
 #include "shard/sharded_engine.hpp"
@@ -292,6 +293,18 @@ TEST(HotPathMinmax, SkippedSelectionEqualsAlwaysSelect) {
   EXPECT_GT(selected, 50U);
 }
 
+/// Run `fn`, expecting InvalidArgument whose message contains `needle`.
+template <typename Fn>
+void expect_rejected(Fn&& fn, const std::string& needle, const char* entry) {
+  try {
+    fn();
+    ADD_FAILURE() << entry << " accepted a non-finite coordinate";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << entry << ": " << e.what();
+  }
+}
+
 class NonFiniteQuery : public ::testing::TestWithParam<float> {};
 
 TEST_P(NonFiniteQuery, EnginesRejectItNamingTheQuery) {
@@ -309,17 +322,55 @@ TEST_P(NonFiniteQuery, EnginesRejectItNamingTheQuery) {
   sopts.engine.gpu.k = 4;
   shard::ShardedEngine sharded(data, sopts);
 
-  const auto expect_named = [](auto&& run, const char* engine) {
-    try {
-      run();
-      ADD_FAILURE() << engine << " accepted a non-finite query";
-    } catch (const InvalidArgument& e) {
-      EXPECT_NE(std::string(e.what()).find("query 2"), std::string::npos)
-          << engine << ": " << e.what();
+  expect_rejected([&] { (void)batch.run(queries); }, "query 2", "BatchEngine");
+  expect_rejected([&] { (void)sharded.run(queries); }, "query 2", "ShardedEngine");
+}
+
+TEST_P(NonFiniteQuery, JoinRejectsItNamingTheTarget) {
+  const PointSet data = test::small_clustered(3, 300, /*seed=*/11);
+  PointSet targets = test::random_queries(3, 4, /*seed=*/12);
+  targets.mutable_point(1)[0] = GetParam();
+
+  const sstree::BuildOutput built = sstree::build_kmeans(data, 8, {});
+  join::JoinOptions jo;
+  jo.k = 4;
+  jo.engine.gpu.k = 4;
+  join::JoinEngine eng(built.tree, jo);
+  expect_rejected([&] { (void)eng.knn_join(targets); }, "target 1", "JoinEngine::knn_join");
+}
+
+TEST_P(NonFiniteQuery, ShardedEngineRejectsItInTheDataset) {
+  PointSet data = test::small_clustered(3, 300, /*seed=*/11);
+  data.mutable_point(7)[2] = GetParam();
+  shard::ShardedEngineOptions sopts;
+  sopts.num_shards = 3;
+  sopts.engine.gpu.k = 4;
+  expect_rejected([&] { shard::ShardedEngine eng(data, sopts); }, "point 7",
+                  "ShardedEngine constructor");
+}
+
+TEST_P(NonFiniteQuery, ShardedInsertRejectsItNamingTheCoordinate) {
+  const PointSet data = test::small_clustered(3, 300, /*seed=*/11);
+  shard::ShardedEngineOptions sopts;
+  sopts.num_shards = 3;
+  sopts.engine.gpu.k = 4;
+  shard::ShardedEngine eng(data, sopts);
+  const PointSet queries = test::random_queries(3, 4, /*seed=*/12);
+  const knn::BatchResult before = eng.run(queries);
+
+  std::vector<Scalar> p = {1.0F, 2.0F, 3.0F};
+  p[1] = GetParam();
+  expect_rejected([&] { (void)eng.insert(p); }, "coordinate 1", "ShardedEngine::insert");
+  // Rejected before any shard is touched: size and answers are unchanged.
+  EXPECT_EQ(eng.size(), data.size());
+  const knn::BatchResult after = eng.run(queries);
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    ASSERT_EQ(after.queries[q].neighbors.size(), before.queries[q].neighbors.size());
+    for (std::size_t i = 0; i < after.queries[q].neighbors.size(); ++i) {
+      EXPECT_EQ(after.queries[q].neighbors[i].id, before.queries[q].neighbors[i].id);
+      EXPECT_EQ(after.queries[q].neighbors[i].dist, before.queries[q].neighbors[i].dist);
     }
-  };
-  expect_named([&] { (void)batch.run(queries); }, "BatchEngine");
-  expect_named([&] { (void)sharded.run(queries); }, "ShardedEngine");
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(HotPath, NonFiniteQuery,

@@ -73,7 +73,7 @@ TEST(ReorderMetamorphic, PrivateWindowReorderingIsByteInvisible) {
        {engine::Algorithm::kPsb, engine::Algorithm::kBranchAndBound,
         engine::Algorithm::kStacklessSkip, engine::Algorithm::kTaskParallel}) {
     engine::BatchEngineOptions unsorted = base_options(algo);
-    unsorted.use_snapshot = true;
+    unsorted.layout = engine::NodeLayout::kSnapshot;
     unsorted.warp_queries = 1;  // private windows: nothing couples queries
 
     engine::BatchEngineOptions sorted = unsorted;
@@ -111,7 +111,7 @@ TEST(ReorderMetamorphic, PointerModeReorderingIsByteInvisible) {
 TEST(ReorderMetamorphic, CohortSharingOnlyRemovesTraffic) {
   const Workload w = noaa_workload();
   engine::BatchEngineOptions priv = base_options(engine::Algorithm::kPsb);
-  priv.use_snapshot = true;
+  priv.layout = engine::NodeLayout::kSnapshot;
   priv.reorder_queries = true;
   priv.warp_queries = 1;
 
@@ -135,7 +135,7 @@ TEST(ReorderMetamorphic, CohortSharingOnlyRemovesTraffic) {
 TEST(ReorderMetamorphic, ThreadCountInvariantWithCohorts) {
   const Workload w = noaa_workload();
   engine::BatchEngineOptions opts = base_options(engine::Algorithm::kPsb);
-  opts.use_snapshot = true;
+  opts.layout = engine::NodeLayout::kSnapshot;
   opts.reorder_queries = true;
   opts.warp_queries = 8;
 

@@ -215,7 +215,7 @@ serve::StreamingOptions base_options() {
   serve::StreamingOptions so;
   so.engine.algorithm = engine::Algorithm::kPsb;
   so.engine.gpu.k = 8;
-  so.engine.use_snapshot = true;
+  so.engine.layout = engine::NodeLayout::kSnapshot;
   so.engine.num_threads = 1;
   so.mode = serve::DispatchMode::kBuffered;
   so.buffer_capacity = 8;

@@ -106,7 +106,7 @@ TEST(RobustnessMetamorphic, SnapshotModeAlsoBitIdentical) {
   BatchEngineOptions base;
   base.gpu.k = 6;
   BatchEngineOptions snap = base;
-  snap.use_snapshot = true;
+  snap.layout = engine::NodeLayout::kSnapshot;
   snap.warp_queries = 1;  // private windows: snapshot changes accounting only
   const knn::BatchResult plain = BatchEngine(tree, base).run(w.queries);
   const knn::BatchResult snapped = BatchEngine(tree, snap).run(w.queries);
@@ -139,7 +139,7 @@ TEST(RobustnessMetamorphic, NoFaultCountersWithoutInjection) {
   obs::Registry::global().reset();
   BatchEngineOptions eo;
   eo.gpu.k = 6;
-  eo.use_snapshot = true;
+  eo.layout = engine::NodeLayout::kSnapshot;
   BatchEngine(tree, eo).run(w.queries);
   for (const auto& [name, value] : obs::Registry::global().snapshot().counters) {
     if (name.rfind("engine.fault.", 0) == 0) {

@@ -90,7 +90,8 @@ void run_trial(std::uint64_t trial, bool with_bound_sharing) {
   opts.degree = 4 + rng.next_below(29);                    // 4..32
   opts.engine.algorithm = kAlgorithms[trial % std::size(kAlgorithms)];
   opts.engine.gpu.k = 1 + rng.next_below(n + 4);           // may exceed n
-  opts.engine.use_snapshot = rng.next_below(2) == 1;
+  opts.engine.layout =
+      rng.next_below(2) == 1 ? engine::NodeLayout::kSnapshot : engine::NodeLayout::kPointer;
   opts.share_bounds = with_bound_sharing;
   shard::ShardedEngine eng(data, opts);
 

@@ -152,7 +152,7 @@ TEST(SnapshotThroughEngine, EveryAlgorithmMatchesPointerEngine) {
     base.algorithm = algo;
     base.gpu.k = 8;
     engine::BatchEngineOptions snap = base;
-    snap.use_snapshot = true;
+    snap.layout = engine::NodeLayout::kSnapshot;
     snap.reorder_queries = true;
 
     const knn::BatchResult a = engine::BatchEngine(tree, base).run(queries);
@@ -179,7 +179,7 @@ TEST(SnapshotAcceptance, NoaaPsbCutsAccessedBytesTenPercent) {
   pointer.gpu.k = 16;
 
   engine::BatchEngineOptions coherent = pointer;
-  coherent.use_snapshot = true;
+  coherent.layout = engine::NodeLayout::kSnapshot;
   coherent.reorder_queries = true;
   coherent.warp_queries = 32;
 

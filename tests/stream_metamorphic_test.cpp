@@ -61,7 +61,7 @@ struct Fixture {
 serve::StreamingOptions base_options() {
   serve::StreamingOptions so;
   so.engine.gpu.k = 8;
-  so.engine.use_snapshot = true;
+  so.engine.layout = engine::NodeLayout::kSnapshot;
   so.engine.reorder_queries = true;
   so.buffer_capacity = 8;
   so.engine.warp_queries = 8;

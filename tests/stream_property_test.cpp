@@ -82,7 +82,8 @@ serve::StreamingOptions random_streaming_options(Rng& rng, std::uint64_t trial,
   serve::StreamingOptions so;
   so.engine.algorithm = kAlgorithms[trial % std::size(kAlgorithms)];
   so.engine.gpu.k = 1 + rng.next_below(16);
-  so.engine.use_snapshot = rng.next_below(2) == 1;
+  so.engine.layout =
+      rng.next_below(2) == 1 ? engine::NodeLayout::kSnapshot : engine::NodeLayout::kPointer;
   so.engine.num_threads = 1 + rng.next_below(4);
   so.engine.reorder_queries = rng.next_below(2) == 1;
   so.engine.warp_queries = 1 + rng.next_below(32);

@@ -234,13 +234,21 @@ engine::Algorithm algo_from_flag(const std::string& algo) {
   return engine::parse_algorithm(algo);
 }
 
+/// The serving layout from --layout and --snapshot 0|1, the latter being
+/// shorthand for --layout snapshot; a non-pointer --layout wins.
+engine::NodeLayout layout_from_flags(const Args& args) {
+  const engine::NodeLayout layout = engine::parse_node_layout(args.str("layout", "pointer"));
+  if (layout != engine::NodeLayout::kPointer) return layout;
+  return args.num("snapshot", 0) != 0 ? engine::NodeLayout::kSnapshot : layout;
+}
+
 int cmd_query(const Args& args) {
   const PointSet points = data::read_binary(args.str("data"));
   const std::size_t k = args.num("k", 8);
   const std::size_t nq = args.num("num-queries", 8);
   const PointSet queries = data::sample_queries(points, nq, 0.0, args.num("seed", 7));
   const std::string algo = args.str("algo", "psb");
-  const engine::NodeLayout node_layout = engine::parse_node_layout(args.str("layout", "pointer"));
+  const engine::NodeLayout node_layout = layout_from_flags(args);
 
   if (args.has("shards")) {
     // Scatter-gather serving: partition the dataset and answer through the
@@ -251,7 +259,6 @@ int cmd_query(const Args& args) {
     sopts.degree = args.num("degree", 64);
     sopts.engine.algorithm = algo_from_flag(algo);
     sopts.engine.gpu.k = k;
-    sopts.engine.use_snapshot = args.num("snapshot", 0) != 0;
     sopts.engine.layout = node_layout;
     shard::ShardedEngine eng(points, sopts);
     const knn::BatchResult r = eng.run(queries);
@@ -293,19 +300,16 @@ int cmd_query(const Args& args) {
 
   knn::GpuKnnOptions opts;
   opts.k = k;
-  const bool use_snapshot = args.num("snapshot", 0) != 0;
   const bool reorder = args.num("reorder", 0) != 0;
   // Any engine-level feature (frozen arena, reordering, or the stackless
   // walker that only exists on the implicit layout) routes through the
   // BatchEngine; the plain library batch entry points stay the default.
-  const bool engine_path = use_snapshot || reorder ||
-                           node_layout != engine::NodeLayout::kPointer ||
-                           algo == "implicit_stackless";
+  const bool engine_path =
+      reorder || node_layout != engine::NodeLayout::kPointer || algo == "implicit_stackless";
   knn::BatchResult r;
   if (engine_path) {
     engine::BatchEngineOptions eo;
     eo.gpu = opts;
-    eo.use_snapshot = use_snapshot;
     eo.layout = node_layout;
     eo.reorder_queries = reorder;
     eo.warp_queries = args.num("warp-queries", 32);
@@ -383,8 +387,7 @@ int cmd_join_like(const Args& args, bool self_join) {
   jo.include_self = args.num("include-self", 0) != 0;
   jo.engine.algorithm = algo_from_flag(args.str("algo", "psb"));
   jo.engine.gpu.k = jo.k;
-  jo.engine.use_snapshot = args.num("snapshot", 0) != 0;
-  jo.engine.layout = engine::parse_node_layout(args.str("layout", "pointer"));
+  jo.engine.layout = layout_from_flags(args);
   jo.engine.num_threads = args.num("threads", 0);
   jo.engine.warp_queries = args.num("warp-queries", 32);
 
@@ -455,7 +458,8 @@ int cmd_serve(const Args& args) {
   serve::StreamingOptions so;
   so.engine.algorithm = algo_from_flag(args.str("algo", "psb"));
   so.engine.gpu.k = args.num("k", 8);
-  so.engine.use_snapshot = args.num("snapshot", 1) != 0;
+  so.engine.layout = args.num("snapshot", 1) != 0 ? engine::NodeLayout::kSnapshot
+                                                  : engine::NodeLayout::kPointer;
   so.engine.reorder_queries = args.num("reorder", 1) != 0;
   so.buffer_capacity = args.num("capacity", 32);
   so.engine.warp_queries = so.buffer_capacity;
@@ -673,10 +677,10 @@ int cmd_bench(const Args& args) {
       // escape walker replaces the algorithm, the other variants keep it.
       std::string trace_name = name;
       if (variant == "snapshot") {
-        eng_opts.use_snapshot = true;
+        eng_opts.layout = engine::NodeLayout::kSnapshot;
         prefix += "_snapshot";
       } else if (variant == "snapshot_reorder") {
-        eng_opts.use_snapshot = true;
+        eng_opts.layout = engine::NodeLayout::kSnapshot;
         eng_opts.reorder_queries = true;
         prefix += "_snapshot_reorder";
       } else if (variant == "implicit") {
@@ -702,7 +706,7 @@ int cmd_bench(const Args& args) {
         const bool buffered = variant == "stream_buffered";
         serve::StreamingOptions so;
         so.engine = eng_opts;
-        so.engine.use_snapshot = true;
+        so.engine.layout = engine::NodeLayout::kSnapshot;
         so.engine.reorder_queries = true;
         so.mode = buffered ? serve::DispatchMode::kBuffered : serve::DispatchMode::kNaive;
         so.buffer_capacity = args.num("stream-capacity", 16);
@@ -757,7 +761,7 @@ int cmd_bench(const Args& args) {
         const bool hedged = variant == "replicated_hedged";
         serve::StreamingOptions so;
         so.engine = eng_opts;
-        so.engine.use_snapshot = true;
+        so.engine.layout = engine::NodeLayout::kSnapshot;
         so.engine.reorder_queries = true;
         so.mode = serve::DispatchMode::kBuffered;
         so.buffer_capacity = args.num("stream-capacity", 16);
@@ -824,7 +828,7 @@ int cmd_bench(const Args& args) {
         jo.k = gpu.k;
         jo.variant = dual ? join::JoinVariant::kDual : join::JoinVariant::kSingle;
         jo.engine = eng_opts;
-        jo.engine.use_snapshot = true;
+        jo.engine.layout = engine::NodeLayout::kSnapshot;
         join::JoinEngine jeng(built.tree, jo);
         const knn::BatchResult jr = jeng.all_knn();
         const std::uint64_t jbytes = jr.metrics.total_bytes();
@@ -1057,7 +1061,7 @@ int cmd_faultcamp(const Args& args) {
       sopts.degree = 32;
       sopts.engine.algorithm = algos[algo_idx];
       sopts.engine.gpu = gpu;
-      sopts.engine.use_snapshot = true;
+      sopts.engine.layout = engine::NodeLayout::kSnapshot;
       sopts.engine.num_threads = 1;
       sharded[algo_idx] = std::make_unique<shard::ShardedEngine>(points, sopts);
     }
@@ -1076,7 +1080,7 @@ int cmd_faultcamp(const Args& args) {
       jo.k = gpu.k;
       jo.engine.algorithm = algos[algo_idx];
       jo.engine.gpu = gpu;
-      jo.engine.use_snapshot = true;
+      jo.engine.layout = engine::NodeLayout::kSnapshot;
       jo.engine.num_threads = 1;
       joins[algo_idx] = std::make_unique<join::JoinEngine>(built.tree, jo);
     }
@@ -1099,7 +1103,7 @@ int cmd_faultcamp(const Args& args) {
       serve::StreamingOptions so;
       so.engine.algorithm = algos[algo_idx];
       so.engine.gpu = gpu;
-      so.engine.use_snapshot = true;
+      so.engine.layout = engine::NodeLayout::kSnapshot;
       so.engine.num_threads = 1;
       so.mode = serve::DispatchMode::kBuffered;
       so.buffer_capacity = 4;
@@ -1230,7 +1234,7 @@ int cmd_faultcamp(const Args& args) {
       serve::StreamingOptions so;
       so.engine.algorithm = algos[algo_idx];
       so.engine.gpu = gpu;
-      so.engine.use_snapshot = true;
+      so.engine.layout = engine::NodeLayout::kSnapshot;
       so.engine.num_threads = 1;
       so.mode = serve::DispatchMode::kBuffered;
       so.buffer_capacity = 4;
@@ -1269,7 +1273,7 @@ int cmd_faultcamp(const Args& args) {
       engine::BatchEngineOptions eo;
       eo.algorithm = algos[algo_idx];
       eo.gpu = gpu;
-      eo.use_snapshot = true;
+      eo.layout = engine::NodeLayout::kSnapshot;
       // The escape-bitflip site only exists on an engine-owned implicit
       // arena, so its iterations serve through the pointer-free layout
       // whatever the algorithm (per-segment CRC catches the flip and the
@@ -1399,7 +1403,7 @@ int cmd_chaoscamp(const Args& args) {
       sopts.degree = 32;
       sopts.engine.algorithm = algos[algo_idx];
       sopts.engine.gpu = gpu;
-      sopts.engine.use_snapshot = true;
+      sopts.engine.layout = engine::NodeLayout::kSnapshot;
       sopts.engine.num_threads = 1;
       sharded[algo_idx] = std::make_unique<shard::ShardedEngine>(points, sopts);
     }
@@ -1572,7 +1576,7 @@ int cmd_chaoscamp(const Args& args) {
       jo.k = gpu.k;
       jo.engine.algorithm = algos[algo_idx];
       jo.engine.gpu = gpu;
-      jo.engine.use_snapshot = true;
+      jo.engine.layout = engine::NodeLayout::kSnapshot;
       jo.engine.num_threads = 1;
       join::JoinEngine jeng(built.tree, jo);
       knn::BatchResult got = jeng.knn_join(queries);
@@ -1600,7 +1604,7 @@ int cmd_chaoscamp(const Args& args) {
     serve::StreamingOptions so;
     so.engine.algorithm = algos[algo_idx];
     so.engine.gpu = gpu;
-    so.engine.use_snapshot = true;
+    so.engine.layout = engine::NodeLayout::kSnapshot;
     so.engine.num_threads = 1;
     if (harness == Harness::kImplicit) so.engine.layout = engine::NodeLayout::kImplicit;
     so.mode = serve::DispatchMode::kBuffered;
