@@ -3,7 +3,9 @@
 # keep the JSON report as an artifact. The campaign (psbtool faultcamp) sweeps
 # >= 500 single-fault experiments across every registered fault site and exits
 # nonzero if any fault crashes the serving path, trips a sanitizer, or yields
-# a wrong answer without a degraded Status. Run locally exactly as CI does:
+# a wrong answer without a degraded Status. It runs twice with the same seed
+# and fails unless the two reports are byte-identical. Run locally exactly as
+# CI does:
 #
 #   scripts/ci/fault_campaign.sh            # asan (default)
 #   scripts/ci/fault_campaign.sh ubsan
@@ -27,9 +29,16 @@ mkdir -p "$ARTIFACTS"
 cmake --preset "$PRESET"
 cmake --build --preset "$PRESET" -j "${JOBS:-$(nproc)}" --target psbtool
 
-"build-${PRESET}/tools/psbtool" faultcamp \
-  --iterations "$ITERATIONS" \
-  --workdir "build-${PRESET}" \
-  --out "$ARTIFACTS/FAULTCAMP_${PRESET}.json"
+REPORT="$ARTIFACTS/FAULTCAMP_${PRESET}.json"
+for out in "$REPORT" "$REPORT.rerun"; do
+  "build-${PRESET}/tools/psbtool" faultcamp \
+    --iterations "$ITERATIONS" \
+    --workdir "build-${PRESET}" \
+    --out "$out"
+done
+# The campaign is seeded and single-threaded: a second run must reproduce
+# the report byte for byte.
+cmp "$REPORT" "$REPORT.rerun"
+rm "$REPORT.rerun"
 
-echo "fault campaign (${PRESET}, ${ITERATIONS} iterations) passed"
+echo "fault campaign (${PRESET}, ${ITERATIONS} iterations) passed and reproduced"

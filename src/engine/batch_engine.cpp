@@ -25,24 +25,6 @@
 #include "simt/sort.hpp"
 
 namespace psb::engine {
-namespace {
-
-constexpr int kBruteForceDefaultThreads = 256;  // brute_force.cpp's block width
-
-/// Per-query degradation events, accumulated lock-free in disjoint slots and
-/// folded into the obs registry on the merge thread. Zero when nothing
-/// degraded, so a fault-free run leaves the registry untouched.
-enum QueryEvent : std::uint8_t {
-  kEvDataFault = 1 << 0,       ///< a fetch raised DataFault
-  kEvRetried = 1 << 1,         ///< recovered by the restart-from-root retry
-  kEvBruteForced = 1 << 2,     ///< recovered by the exact brute-force scan
-  kEvBudgetExhausted = 1 << 3, ///< the traversal stopped on its node budget
-  kEvDeadlineCut = 1 << 4,     ///< started past the batch deadline
-  kEvBudgetFault = 1 << 5,     ///< engine.query_budget fault armed this query
-  kEvResumeFault = 1 << 6,     ///< an executor resume step was killed (exec.resume)
-};
-
-}  // namespace
 
 std::string_view algorithm_name(Algorithm a) noexcept {
   switch (a) {
@@ -87,12 +69,148 @@ NodeLayout parse_node_layout(std::string_view name) {
 int block_threads_for(Algorithm a, std::size_t degree, const knn::GpuKnnOptions& gpu) {
   switch (a) {
     case Algorithm::kBruteForce:
-      return gpu.threads_per_block > 0 ? gpu.threads_per_block : kBruteForceDefaultThreads;
+      return knn::brute_force_threads(gpu);
     case Algorithm::kTaskParallel:
       return gpu.device.warp_size;
     default:
       return knn::detail::resolve_block_threads(gpu, degree);
   }
+}
+
+void run_slices(std::size_t num_threads, std::size_t units,
+                const std::function<void(std::size_t, std::size_t)>& work) {
+  std::size_t workers = num_threads;
+  if (workers == 0) workers = std::max(1u, std::thread::hardware_concurrency());
+  workers = std::min(workers, std::max<std::size_t>(units, 1));
+  if (workers <= 1) return work(0, units);
+  std::vector<std::thread> pool;
+  pool.reserve(workers);
+  const std::size_t per = (units + workers - 1) / workers;
+  for (std::size_t begin = 0; begin < units; begin += per) {
+    pool.emplace_back(work, begin, std::min(units, begin + per));
+  }
+  for (std::thread& t : pool) t.join();
+}
+
+knn::QueryResult run_pass(Algorithm algo, const sstree::SSTree& tree,
+                          std::span<const Scalar> query, knn::GpuKnnOptions gpu,
+                          bool deadline_cut, ExactScan exact_scan, simt::Metrics* m,
+                          std::vector<simt::StepPhase>& steps, std::uint16_t& events) {
+  // The task-parallel lane has no node budget to arm.
+  if (algo != Algorithm::kTaskParallel && fault::enabled()) {
+    if (const fault::Shot shot = fault::evaluate(fault::kSiteQueryBudget)) {
+      gpu.query_budget_nodes = 1 + shot.payload % 4;
+      events |= kPassBudgetFault;
+    }
+  }
+  if (deadline_cut) {
+    gpu.query_budget_nodes = 1;
+    events |= kPassDeadlineCut;
+  }
+
+  // One attempt as a resumable executor (src/exec/). The stack-free walkers
+  // run as native state machines that yield at every leaf reduction; every
+  // other algorithm runs its run-to-completion call behind the one-step
+  // LoopExecutor adapter (no yield points, no modeled overlap — but the same
+  // exec.resume fault boundary). A completed attempt appends its resume
+  // steps to the caller's stream; an abandoned attempt's are dropped.
+  const auto loop_pass = [&]() -> knn::QueryResult {
+    switch (algo) {
+      case Algorithm::kPsb: return knn::psb_query(tree, query, gpu, m);
+      case Algorithm::kBestFirst: return knn::best_first_gpu_query(tree, query, gpu, m);
+      case Algorithm::kBranchAndBound: return knn::bnb_query(tree, query, gpu, m);
+      case Algorithm::kStacklessRestart: return knn::restart_query(tree, query, gpu, m);
+      case Algorithm::kBruteForce: return exact_scan(gpu);
+      case Algorithm::kTaskParallel: {
+        knn::TaskParallelSsOptions tp;
+        tp.k = gpu.k;
+        tp.device = gpu.device;
+        tp.snapshot = gpu.snapshot;
+        tp.initial_prune_bound = gpu.initial_prune_bound;
+        return knn::task_parallel_sstree_query(tree, query, tp, m);
+      }
+      case Algorithm::kStacklessSkip:
+      case Algorithm::kImplicitStackless: break;  // native executors
+    }
+    throw InternalError("run_pass: no loop form for " + std::string(algorithm_name(algo)));
+  };
+  const auto attempt = [&] {
+    knn::QueryResult res;
+    std::unique_ptr<exec::Executor> ex;
+    if (algo == Algorithm::kImplicitStackless && gpu.implicit != nullptr) {
+      ex = exec::make_implicit_stackless_executor(tree, query, gpu, m, res);
+    } else if (algo == Algorithm::kStacklessSkip || algo == Algorithm::kImplicitStackless) {
+      // With the implicit layout gone (verify() failed), the skip-pointer
+      // twin runs the identical preorder sweep on the pointer path — a
+      // typed, exact fallback the caller's arena gate counts.
+      ex = exec::make_skip_pointer_executor(tree, query, gpu, m, res);
+    } else {
+      ex = exec::make_loop_executor([&] { res = loop_pass(); }, gpu.device, m,
+                                    block_threads_for(algo, tree.degree(), gpu));
+    }
+    exec::drive(*ex);
+    steps.insert(steps.end(), ex->steps().begin(), ex->steps().end());
+    return res;
+  };
+
+  // The retry and scan rungs run on the pointer path (no arena, no shared
+  // window); the exact scan is also unbudgeted, so no node-integrity fault
+  // or budget can stop it.
+  const auto pointer_path = [&gpu] {
+    knn::GpuKnnOptions p = gpu;
+    p.snapshot = nullptr;
+    p.implicit = nullptr;
+    p.fetch_session = nullptr;
+    return p;
+  };
+  const auto scan = [&](PassEvent rung) {
+    knn::GpuKnnOptions exact = pointer_path();
+    exact.query_budget_nodes = 0;
+    knn::QueryResult r = exact_scan(exact);
+    r.status = knn::QueryStatus::kDegradedFallback;
+    events |= rung;
+    return r;
+  };
+
+  knn::QueryResult r;
+  try {
+    r = attempt();
+  } catch (const exec::ResumeFault&) {
+    // A killed resume step abandons the suspended executor. The injected
+    // kill is one-shot, so a fresh executor rerun sees a quiet site and
+    // completes on the normal path (masked but counted); a second kill — or
+    // any data fault during the rerun — drops to the exact scan.
+    events |= kPassResumeFault;
+    try {
+      r = attempt();
+      events |= kPassResumeRerun;
+    } catch (const DataFault&) {
+      return scan(kPassResumeScan);
+    }
+  } catch (const DataFault&) {
+    // One restart-from-root retry on the pointer path (injected faults are
+    // one-shot, so the retry sees clean data), then the exact scan.
+    events |= kPassDataFault;
+    try {
+      r = knn::restart_query(tree, query, pointer_path(), m);
+      r.status = knn::QueryStatus::kDegradedFallback;
+      events |= kPassRetried;
+    } catch (const DataFault&) {
+      return scan(kPassRetryScan);
+    }
+  }
+  if (r.budget_exhausted) {
+    events |= kPassBudgetExhausted;
+    if (deadline_cut) {
+      r.status = knn::QueryStatus::kDeadlinePartial;
+    } else {
+      const knn::TraversalStats partial = r.stats;
+      r = scan(kPassBudgetScan);
+      r.stats.merge(partial);  // keep the abandoned traversal's work visible
+      r.budget_exhausted = true;
+    }
+  }
+  return r;
 }
 
 BatchEngine::BatchEngine(const sstree::SSTree& tree, BatchEngineOptions opts)
@@ -147,18 +265,8 @@ knn::BatchResult BatchEngine::run(const PointSet& queries) const {
   // path, which shares no state with the arena. The implicit downgrade is
   // counted (engine.layout.fallback): a requested layout is never dropped
   // silently.
-  if (fault::enabled()) {
-    if (snapshot_ != nullptr) {
-      if (const fault::Shot shot = fault::evaluate(fault::kSiteSnapshotSegment)) {
-        snapshot_->corrupt(shot.payload);
-      }
-    }
-    if (implicit_ != nullptr) {
-      if (const fault::Shot shot = fault::evaluate(fault::kSiteImplicitEscape)) {
-        implicit_->corrupt(shot.payload);
-      }
-    }
-  }
+  fault::strike(snapshot_.get(), fault::kSiteSnapshotSegment);
+  fault::strike(implicit_.get(), fault::kSiteImplicitEscape);
   if (snap != nullptr && !snap->verify()) {
     snap = nullptr;
     reg.add("engine.fault.snapshot_fallback_batches", 1);
@@ -195,7 +303,7 @@ knn::BatchResult BatchEngine::run(const PointSet& queries) const {
 
   std::vector<knn::QueryResult> results(n);
   std::vector<simt::Metrics> metrics(n);
-  std::vector<std::uint8_t> events(n, 0);
+  std::vector<std::uint16_t> events(n, 0);
   // Per-query resume-step phase records, replayed per cohort through the
   // overlap model on the merge thread.
   std::vector<std::vector<simt::StepPhase>> step_slots(n);
@@ -208,129 +316,17 @@ knn::BatchResult BatchEngine::run(const PointSet& queries) const {
     return elapsed.count() > opts_.deadline_ms;
   };
 
-  // One query as a resumable executor (src/exec/); the policy below only
-  // varies `gpu`. The stack-free walkers run as native
-  // state machines that yield at every leaf reduction; every other algorithm
-  // runs its knn::*_query loop behind the one-step LoopExecutor adapter (no
-  // yield points, no modeled overlap — but the same exec.resume fault
-  // boundary). Cohort members still execute depth-first — the shared
-  // FetchSession makes the charge order part of the determinism contract —
-  // and the recorded resume steps feed the double-buffered fetch/compute
-  // stream model.
-  const auto run_executor = [&](std::size_t q, const knn::GpuKnnOptions& gpu) {
-    const std::span<const Scalar> query = queries[q];
-    simt::Metrics* m = &metrics[q];
-    knn::QueryResult res;
-    const auto loop = [&](auto query_fn) {
-      return exec::make_loop_executor([&res, query_fn] { res = query_fn(); }, gpu.device, m,
-                                      block_threads_for(opts_.algorithm, tree_.degree(), gpu));
-    };
-    std::unique_ptr<exec::Executor> ex;
-    switch (opts_.algorithm) {
-      case Algorithm::kStacklessSkip:
-        ex = exec::make_skip_pointer_executor(tree_, query, gpu, m, res);
-        break;
-      case Algorithm::kImplicitStackless:
-        // With the layout gone (verify() failed), the skip-pointer twin runs
-        // the identical preorder sweep on the pointer path — a typed, exact
-        // fallback counted once per batch by the gate above.
-        ex = gpu.implicit != nullptr
-                 ? exec::make_implicit_stackless_executor(tree_, query, gpu, m, res)
-                 : exec::make_skip_pointer_executor(tree_, query, gpu, m, res);
-        break;
-      case Algorithm::kPsb:
-        ex = loop([&] { return knn::psb_query(tree_, query, gpu, m); });
-        break;
-      case Algorithm::kBestFirst:
-        ex = loop([&] { return knn::best_first_gpu_query(tree_, query, gpu, m); });
-        break;
-      case Algorithm::kBranchAndBound:
-        ex = loop([&] { return knn::bnb_query(tree_, query, gpu, m); });
-        break;
-      case Algorithm::kStacklessRestart:
-        ex = loop([&] { return knn::restart_query(tree_, query, gpu, m); });
-        break;
-      case Algorithm::kBruteForce:
-      case Algorithm::kTaskParallel:  // kTaskParallel is handled above
-        ex = loop([&] { return knn::brute_force_query(tree_.data(), query, gpu, m); });
-        break;
-    }
-    exec::drive(*ex);
-    step_slots[q] = ex->steps();
-    return res;
-  };
-
-  // The exact last-resort answer: a pointer-path brute-force scan, immune to
-  // node-integrity faults (it never reads tree bounds) and unbudgeted.
-  const auto brute_force_fallback = [&](std::size_t q, knn::GpuKnnOptions gpu) {
-    gpu.snapshot = nullptr;
-    gpu.implicit = nullptr;
-    gpu.fetch_session = nullptr;
-    gpu.query_budget_nodes = 0;
-    knn::QueryResult r = knn::brute_force_query(tree_.data(), queries[q], gpu, &metrics[q]);
-    r.status = knn::QueryStatus::kDegradedFallback;
-    events[q] |= kEvBruteForced;
-    return r;
-  };
-
-  // Degradation policy around one query. Never lets a detected fault escape:
-  // DataFault -> one restart-from-root retry on the pointer path (injected
-  // faults are one-shot, so the retry sees clean data) -> brute force.
-  // Budget exhaustion -> brute force. Deadline-cut queries keep their
-  // partial list, flagged (scanning everything would blow the deadline that
-  // cut them).
+  // One query = one run_pass() over the engine's tree. The exact last rung
+  // is a brute-force scan of the dataset; run_pass hands it the pointer-path,
+  // unbudgeted options, so it never reads tree bounds. Deadline-cut queries
+  // keep their partial list, flagged (scanning everything would blow the
+  // deadline that cut them).
   const auto run_query = [&](std::size_t q, const knn::GpuKnnOptions& cohort_gpu) {
-    knn::GpuKnnOptions gpu = cohort_gpu;
-    bool deadline_cut = false;
-    if (fault::enabled()) {
-      if (const fault::Shot shot = fault::evaluate(fault::kSiteQueryBudget)) {
-        gpu.query_budget_nodes = 1 + shot.payload % 4;
-        events[q] |= kEvBudgetFault;
-      }
-    }
-    if (past_deadline()) {
-      gpu.query_budget_nodes = 1;
-      deadline_cut = true;
-      events[q] |= kEvDeadlineCut;
-    }
-    try {
-      results[q] = run_executor(q, gpu);
-    } catch (const exec::ResumeFault&) {
-      // A killed resume step abandons the suspended executor. The injected
-      // kill is one-shot, so a fresh executor rerun sees a quiet site and
-      // completes on the normal path (masked but counted); a second kill —
-      // or any data fault during the rerun — drops to exact brute force.
-      events[q] |= kEvResumeFault;
-      try {
-        results[q] = run_executor(q, gpu);
-      } catch (const DataFault&) {
-        results[q] = brute_force_fallback(q, gpu);
-      }
-    } catch (const DataFault&) {
-      events[q] |= kEvDataFault;
-      knn::GpuKnnOptions retry = gpu;
-      retry.snapshot = nullptr;
-      retry.implicit = nullptr;
-      retry.fetch_session = nullptr;
-      try {
-        results[q] = knn::restart_query(tree_, queries[q], retry, &metrics[q]);
-        results[q].status = knn::QueryStatus::kDegradedFallback;
-        events[q] |= kEvRetried;
-      } catch (const DataFault&) {
-        results[q] = brute_force_fallback(q, gpu);
-      }
-    }
-    if (results[q].budget_exhausted) {
-      events[q] |= kEvBudgetExhausted;
-      if (!deadline_cut) {
-        const knn::TraversalStats partial = results[q].stats;
-        results[q] = brute_force_fallback(q, gpu);
-        results[q].stats.merge(partial);  // keep the abandoned traversal's work visible
-        results[q].budget_exhausted = true;
-      } else {
-        results[q].status = knn::QueryStatus::kDeadlinePartial;
-      }
-    }
+    const auto scan = [&](const knn::GpuKnnOptions& gpu) {
+      return knn::brute_force_query(tree_.data(), queries[q], gpu, &metrics[q]);
+    };
+    results[q] = run_pass(opts_.algorithm, tree_, queries[q], cohort_gpu, past_deadline(), scan,
+                          &metrics[q], step_slots[q], events[q]);
   };
 
   // Scheduling unit: a cohort of warp_queries consecutive entries of `order`
@@ -389,23 +385,7 @@ knn::BatchResult BatchEngine::run(const PointSet& queries) const {
     }
   };
 
-  std::size_t workers = opts_.num_threads;
-  if (workers == 0) workers = std::max(1u, std::thread::hardware_concurrency());
-  workers = std::min(workers, std::max<std::size_t>(units, 1));
-  if (workers <= 1 || units <= 1) {
-    work(0, units);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    const std::size_t per = (units + workers - 1) / workers;
-    for (std::size_t w = 0; w < workers; ++w) {
-      const std::size_t begin = w * per;
-      const std::size_t end = std::min(units, begin + per);
-      if (begin >= end) break;
-      pool.emplace_back(work, begin, end);
-    }
-    for (std::thread& t : pool) t.join();
-  }
+  run_slices(opts_.num_threads, units, work);
 
   // Worker-failure recovery: rerun abandoned cohorts here on the merge
   // thread. Injected faults are one-shot, so the rerun completes; a genuine
@@ -432,25 +412,27 @@ knn::BatchResult BatchEngine::run(const PointSet& queries) const {
   out.queries = std::move(results);
   const bool traced = obs::enabled();
   const std::string_view name = algorithm_name(opts_.algorithm);
-  std::uint64_t ev_totals[7] = {};
   for (std::size_t q = 0; q < n; ++q) {
     out.stats.merge(out.queries[q].stats);
     out.metrics.merge(metrics[q]);
     if (traced) obs::emit(name, knn::make_query_trace(q, out.queries[q].stats, metrics[q]));
-    for (int b = 0; b < 7; ++b) {
-      if (events[q] & (1u << b)) ++ev_totals[b];
-    }
   }
-  // Fold degradation events into the registry (only non-zero totals, so a
-  // clean batch leaves no trace of the machinery).
-  static constexpr std::string_view kEventCounter[7] = {
-      "engine.fault.data_faults",       "engine.fault.retries",
-      "engine.fault.brute_fallbacks",   "engine.fault.budget_exhausted",
-      "engine.fault.deadline_cuts",     "engine.fault.budget_injected",
-      "engine.fault.resume_faults",
+  // Fold degradation events into the registry, one count per query that saw
+  // any of an entry's events (only non-zero totals, so a clean batch leaves
+  // no trace of the machinery). Every exact-scan rung is a brute fallback.
+  static constexpr std::pair<std::uint16_t, std::string_view> kEventCounter[] = {
+      {kPassDataFault, "engine.fault.data_faults"},
+      {kPassRetried, "engine.fault.retries"},
+      {kPassResumeScan | kPassRetryScan | kPassBudgetScan, "engine.fault.brute_fallbacks"},
+      {kPassBudgetExhausted, "engine.fault.budget_exhausted"},
+      {kPassDeadlineCut, "engine.fault.deadline_cuts"},
+      {kPassBudgetFault, "engine.fault.budget_injected"},
+      {kPassResumeFault, "engine.fault.resume_faults"},
   };
-  for (int b = 0; b < 7; ++b) {
-    if (ev_totals[b] > 0) reg.add(kEventCounter[b], ev_totals[b]);
+  for (const auto& [mask, counter] : kEventCounter) {
+    const auto total = std::count_if(events.begin(), events.end(),
+                                     [mask](std::uint16_t ev) { return (ev & mask) != 0; });
+    if (total > 0) reg.add(counter, static_cast<std::uint64_t>(total));
   }
   // Replay each cohort's recorded resume steps through the double-buffered
   // fetch/compute stream model. Per-unit replay in `order` makes the totals

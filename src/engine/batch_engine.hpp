@@ -14,26 +14,27 @@
 // Degradation policy (docs/robustness.md has the full matrix): run() always
 // returns a complete BatchResult — every detected fault is absorbed, never
 // propagated. A snapshot that fails verify() drops the batch to the
-// pointer-walking path; a query whose node fetch raises psb::DataFault is
-// retried once from the root on the pointer path and, failing that, answered
-// by exact brute force (QueryStatus::kDegradedFallback); a query that
-// exhausts its node budget is brute-forced (exact, kDegradedFallback) or —
-// past the deadline — returned as a flagged partial list (kDeadlinePartial).
-// A worker that dies mid-slice has its unprocessed cohorts rerun on the
-// merge thread.
+// pointer-walking path, and a worker that dies mid-slice has its
+// unprocessed cohorts rerun on the merge thread. Each query is one
+// run_pass() over the engine's tree (the per-pass ladder shared with
+// ShardedEngine, declared below), with an exact brute-force scan of the
+// dataset as its last rung; a query started past the deadline keeps its
+// partial list, flagged kDeadlinePartial.
 //
-// Every query runs as a resumable exec::Executor (src/exec/): a native
-// state machine for the stack-free walkers, a one-step LoopExecutor around
-// the per-query knn::*_query function for every other algorithm. Executors
-// perform exactly the charges of those free functions, so a batch equals
-// driving them per query with one shared FetchSession per warp cohort; the
-// recorded resume steps additionally feed the stream-overlap model
-// (BatchResult::exec, engine.exec.* counters).
+// run_pass() drives every query as a resumable exec::Executor (src/exec/)
+// that performs exactly the charges of the knn::*_query functions, so a
+// batch equals driving them per query with one shared FetchSession per warp
+// cohort; the recorded resume steps additionally feed the stream-overlap
+// model (BatchResult::exec, engine.exec.* counters).
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <memory>
+#include <span>
 #include <string_view>
+#include <vector>
 
 #include "knn/result.hpp"
 #include "layout/implicit.hpp"
@@ -80,6 +81,61 @@ NodeLayout parse_node_layout(std::string_view name);
 /// fanout: the brute-force scan's fixed width, one warp for the
 /// task-parallel kernel, otherwise the data-parallel width (the fanout).
 int block_threads_for(Algorithm a, std::size_t degree, const knn::GpuKnnOptions& gpu);
+
+/// Run `work(begin, end)` over [0, units) in contiguous static slices, one
+/// per worker thread: `num_threads` workers (0 = hardware concurrency), never
+/// more than `units`; a single worker runs inline on the calling thread.
+void run_slices(std::size_t num_threads, std::size_t units,
+                const std::function<void(std::size_t, std::size_t)>& work);
+
+/// Degradation events of one run_pass() call, as bit flags (zero for a clean
+/// pass). Each engine folds them into its own registry counter names.
+enum PassEvent : std::uint16_t {
+  kPassBudgetFault = 1 << 0,      ///< engine.query_budget armed this pass
+  kPassDeadlineCut = 1 << 1,      ///< the caller cut the pass to a budget of 1
+  kPassResumeFault = 1 << 2,      ///< exec.resume killed a resume step
+  kPassResumeRerun = 1 << 3,      ///< ...and a fresh-executor rerun answered
+  kPassResumeScan = 1 << 4,       ///< ...the rerun died too; the exact scan answered
+  kPassDataFault = 1 << 5,        ///< a node fetch raised DataFault
+  kPassRetried = 1 << 6,          ///< ...and the pointer-path restart answered
+  kPassRetryScan = 1 << 7,        ///< ...the restart died too; the exact scan answered
+  kPassBudgetExhausted = 1 << 8,  ///< the traversal stopped on its node budget
+  kPassBudgetScan = 1 << 9,       ///< ...and the exact scan answered (not deadline-cut)
+};
+
+/// Non-owning reference to the caller's exact scan, a callable
+/// `knn::QueryResult(const knn::GpuKnnOptions&)` that must outlive the call
+/// it is passed to (no allocation per pass).
+class ExactScan {
+ public:
+  template <typename Scan>
+  ExactScan(const Scan& scan) noexcept  // NOLINT(google-explicit-constructor)
+      : scan_(&scan), call_([](const void* s, const knn::GpuKnnOptions& gpu) {
+          return (*static_cast<const Scan*>(s))(gpu);
+        }) {}
+
+  knn::QueryResult operator()(const knn::GpuKnnOptions& gpu) const { return call_(scan_, gpu); }
+
+ private:
+  const void* scan_;
+  knn::QueryResult (*call_)(const void*, const knn::GpuKnnOptions&);
+};
+
+/// One kNN pass of `query` over `tree` under the per-pass degradation ladder
+/// of both query engines (docs/robustness.md). The pass runs as a resumable
+/// executor (kBruteForce runs `exact_scan(gpu)`); the engine.query_budget
+/// site (skipped for kTaskParallel) may arm a node budget of 1-4, and
+/// `deadline_cut` forces a budget of 1. Rungs: exec.resume kill -> fresh-
+/// executor rerun -> exact scan; DataFault -> pointer-path restart_query ->
+/// exact scan; budget exhausted -> exact scan, or the partial list flagged
+/// kDeadlinePartial when deadline-cut. The exact scan runs unbudgeted on the
+/// pointer path and is flagged kDegradedFallback. Charges go to `metrics`, a
+/// completed attempt's resume steps are appended to `steps`, and the pass's
+/// PassEvent flags are OR-ed into `events`.
+knn::QueryResult run_pass(Algorithm algo, const sstree::SSTree& tree,
+                          std::span<const Scalar> query, knn::GpuKnnOptions gpu,
+                          bool deadline_cut, ExactScan exact_scan, simt::Metrics* metrics,
+                          std::vector<simt::StepPhase>& steps, std::uint16_t& events);
 
 struct BatchEngineOptions {
   Algorithm algorithm = Algorithm::kPsb;

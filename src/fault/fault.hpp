@@ -67,6 +67,14 @@ struct Shot {
 /// injection is disabled or no Spec targets the site. Thread-safe.
 Shot evaluate(std::string_view site);
 
+/// Arena corruption hook: under an active injection scope, let `site` strike
+/// `arena` in place (`arena->corrupt(payload)`); a no-op for a null arena.
+template <typename Arena>
+void strike(Arena* arena, std::string_view site) {
+  if (arena == nullptr || !enabled()) return;
+  if (const Shot shot = evaluate(site)) arena->corrupt(shot.payload);
+}
+
 /// RAII scope arming a set of Specs as the process-wide injection plan.
 /// Scopes do not nest: constructing a second concurrent scope throws
 /// psb::InternalError. Every Spec's site must be registered

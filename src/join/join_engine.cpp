@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <thread>
 
 #include "common/error.hpp"
 #include "fault/fault.hpp"
 #include "fault/sites.hpp"
+#include "knn/brute_force.hpp"
 #include "knn/detail/traversal_common.hpp"
 #include "knn/shared_heap.hpp"
 #include "layout/fetch.hpp"
@@ -238,13 +238,13 @@ knn::BatchResult JoinEngine::run_brute(const PointSet& targets, bool self_join) 
   if (targets.empty() || k_eff == 0) return out;
 
   const knn::GpuKnnOptions& gpu = opts_.engine.gpu;
-  const int threads = gpu.threads_per_block > 0 ? gpu.threads_per_block : 256;
+  const int threads = knn::brute_force_threads(gpu);
   for (std::size_t q = 0; q < targets.size(); ++q) {
     simt::Metrics m;
     simt::Block block(gpu.device, threads, &m);
-    brute_query(block, targets[q],
-                exclude ? static_cast<PointId>(q) : kInvalidPoint, k_eff,
-                out.queries[q]);
+    const PointId self = exclude ? static_cast<PointId>(q) : kInvalidPoint;
+    out.queries[q] = knn::filtered_scan(block, tree_.data(), targets[q], k_eff,
+                                        [self](PointId id) { return id != self; });
     out.stats.merge(out.queries[q].stats);
     out.metrics.merge(m);
     if (obs::enabled()) {
@@ -256,28 +256,6 @@ knn::BatchResult JoinEngine::run_brute(const PointSet& targets, bool self_join) 
   cfg.threads_per_block = threads;
   out.timing = simt::estimate(gpu.device, out.metrics, cfg);
   return out;
-}
-
-void JoinEngine::brute_query(simt::Block& block, std::span<const Scalar> q, PointId skip_id,
-                             std::size_t k_eff, knn::QueryResult& out) const {
-  const PointSet& data = tree_.data();
-  const std::size_t d = data.dims();
-  KnnHeap heap(k_eff);
-  const std::size_t chunk = static_cast<std::size_t>(block.threads());
-  std::vector<Scalar> dists(chunk);
-  for (std::size_t base = 0; base < data.size(); base += chunk) {
-    const std::size_t count = std::min(chunk, data.size() - base);
-    block.load_global(count * d * sizeof(Scalar), simt::Access::kCoalesced);
-    block.par_for(count, static_cast<std::uint64_t>(d) * 3 + 1,
-                  [&](std::size_t i) { dists[i] = distance(q, data[base + i]); });
-    out.stats.points_examined += count;
-    for (std::size_t i = 0; i < count; ++i) {
-      const PointId pid = static_cast<PointId>(base + i);
-      if (pid == skip_id) continue;
-      if (heap.offer(dists[i], pid)) ++out.stats.heap_inserts;
-    }
-  }
-  out.neighbors = heap.sorted();
 }
 
 knn::BatchResult JoinEngine::run_dual(const PointSet& targets, bool self_join) {
@@ -296,21 +274,13 @@ knn::BatchResult JoinEngine::run_dual(const PointSet& targets, bool self_join) {
   // the walk to the pointer-walking fetch path with the counted
   // engine.layout.fallback downgrade — never silently.
   if (snapshot_ != nullptr) {
-    if (fault::enabled()) {
-      if (const fault::Shot shot = fault::evaluate(fault::kSiteSnapshotSegment)) {
-        snapshot_->corrupt(shot.payload);
-      }
-    }
+    fault::strike(snapshot_.get(), fault::kSiteSnapshotSegment);
     const bool ok = snapshot_->verify();
     if (snapshot_ok_ && !ok) reg.add("engine.layout.fallback", 1);
     snapshot_ok_ = ok;
   }
   if (implicit_ != nullptr) {
-    if (fault::enabled()) {
-      if (const fault::Shot shot = fault::evaluate(fault::kSiteImplicitEscape)) {
-        implicit_->corrupt(shot.payload);
-      }
-    }
+    fault::strike(implicit_.get(), fault::kSiteImplicitEscape);
     const bool ok = implicit_->verify();
     if (implicit_ok_ && !ok) reg.add("engine.layout.fallback", 1);
     implicit_ok_ = ok;
@@ -396,23 +366,7 @@ knn::BatchResult JoinEngine::run_dual(const PointSet& targets, bool self_join) {
   // folding deferred to the merge thread), so static slices parallelize
   // without changing any result. Fault campaigns run serially: the lazily
   // built fallback engine and the arena corruption hooks are not re-entrant.
-  std::size_t workers = fault::enabled() ? 1 : opts_.engine.num_threads;
-  if (workers == 0) workers = std::max(1u, std::thread::hardware_concurrency());
-  workers = std::min(workers, std::max<std::size_t>(num_cohorts, 1));
-  if (workers <= 1 || num_cohorts <= 1) {
-    work(0, num_cohorts);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    const std::size_t per = (num_cohorts + workers - 1) / workers;
-    for (std::size_t w = 0; w < workers; ++w) {
-      const std::size_t begin = w * per;
-      const std::size_t end = std::min(num_cohorts, begin + per);
-      if (begin >= end) break;
-      pool.emplace_back(work, begin, end);
-    }
-    for (std::thread& t : pool) t.join();
-  }
+  engine::run_slices(fault::enabled() ? 1 : opts_.engine.num_threads, num_cohorts, work);
 
   // Merge in cohort order on the calling thread: per-query stats, then the
   // cohort-shared fetch counters (a node fetch is paid once per cohort, so
@@ -454,13 +408,12 @@ void JoinEngine::run_cohort(Cohort& cohort, simt::Metrics& m) {
     if (fault::evaluate(fault::kSiteJoinPair)) {
       ++cohort.ev[kEvPairBrutes];
       const knn::GpuKnnOptions& gpu = opts_.engine.gpu;
-      const int threads = gpu.threads_per_block > 0 ? gpu.threads_per_block : 256;
-      simt::Block block(gpu.device, threads, &m);
+      simt::Block block(gpu.device, knn::brute_force_threads(gpu), &m);
       for (const PointId qid : cohort.query_ids) {
+        const PointId self = cohort.exclude ? qid : kInvalidPoint;
         knn::QueryResult& slot = cohort.results[qid];
-        slot = {};
-        brute_query(block, cohort.targets[qid], cohort.exclude ? qid : kInvalidPoint,
-                    cohort.k_eff, slot);
+        slot = knn::filtered_scan(block, tree_.data(), cohort.targets[qid], cohort.k_eff,
+                                  [self](PointId id) { return id != self; });
         slot.status = knn::QueryStatus::kDegradedFallback;
       }
       return;

@@ -37,10 +37,6 @@
 #include "obs/trace.hpp"
 #include "sstree/tree.hpp"
 
-namespace psb::simt {
-class Block;
-}  // namespace psb::simt
-
 namespace psb::join {
 
 /// How the join is executed. All three are exact and bit-identical; they
@@ -93,13 +89,10 @@ class JoinEngine {
   /// coordinate.
   knn::BatchResult knn_join(const PointSet& targets);
 
-  struct TracedRun {
-    knn::BatchResult result;
-    obs::TraceReport trace;  ///< dual: one trace per cohort; single: per query
-  };
-  /// Like all_knn()/knn_join(), but also returns the traces directly
-  /// (installs a private collector; must not be called while an
-  /// obs::TraceSession is active).
+  using TracedRun = engine::BatchEngine::TracedRun;
+  /// Like all_knn()/knn_join(), but also returns the traces directly — dual:
+  /// one trace per cohort; single: one per query (installs a private
+  /// collector; must not be called while an obs::TraceSession is active).
   TracedRun all_knn_traced();
   TracedRun knn_join_traced(const PointSet& targets);
 
@@ -117,9 +110,6 @@ class JoinEngine {
   /// rung of the ladder). Exact; statuses come from the fallback engine,
   /// escalated to `floor`.
   void single_rerun(Cohort& cohort, simt::Metrics& m, knn::QueryStatus floor);
-  /// Exact chunked brute-force scan for one query (the last rung).
-  void brute_query(simt::Block& block, std::span<const Scalar> q, PointId skip_id,
-                   std::size_t k_eff, knn::QueryResult& out) const;
   /// Lazily-built single-tree engine (the kSingle variant and the rerun rung
   /// of the degradation ladder), keyed by its list width (k, or k+1 when the
   /// caller post-filters the query's own row out).

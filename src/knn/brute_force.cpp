@@ -5,8 +5,6 @@
 namespace psb::knn {
 namespace {
 
-constexpr int kDefaultThreads = 256;
-
 /// Snapshot-backed scan: the same exhaustive pass, but streaming the arena's
 /// leaf region in leaf-chain order through the fetch session. Every point is
 /// still offered, so the deterministic (distance, id) heap order makes the
@@ -59,8 +57,7 @@ QueryResult brute_force_query(const PointSet& data, std::span<const Scalar> quer
   PSB_REQUIRE(!data.empty(), "brute force over empty dataset");
   PSB_REQUIRE(query.size() == data.dims(), "query dimensionality mismatch");
   simt::Metrics local;
-  const int threads = opts.threads_per_block > 0 ? opts.threads_per_block : kDefaultThreads;
-  simt::Block block(opts.device, threads, metrics != nullptr ? metrics : &local);
+  simt::Block block(opts.device, brute_force_threads(opts), metrics != nullptr ? metrics : &local);
   QueryResult out;
   brute_run(block, data, query, opts, out);
   return out;
@@ -71,8 +68,7 @@ BatchResult brute_force_batch(const PointSet& data, const PointSet& queries,
   PSB_REQUIRE(opts.k > 0, "k must be > 0");
   PSB_REQUIRE(!data.empty(), "brute force over empty dataset");
   PSB_REQUIRE(queries.dims() == data.dims(), "query dimensionality mismatch");
-  const int threads = opts.threads_per_block > 0 ? opts.threads_per_block : kDefaultThreads;
-  return detail::run_batch("brute_force", queries, opts, threads,
+  return detail::run_batch("brute_force", queries, opts, brute_force_threads(opts),
                            [&](simt::Block& block, std::span<const Scalar> q, QueryResult& r) {
                              brute_run(block, data, q, opts, r);
                            });

@@ -38,6 +38,18 @@ void validate(const StreamingOptions& opts) {
   PSB_REQUIRE(opts.service_time_scale >= 1, "service_time_scale must be >= 1");
 }
 
+/// The exact last-resort answer for a cohort: a brute-force scan of the full
+/// dataset at the engine's k, every answer flagged kDegradedFallback.
+knn::BatchResult brute_force_cohort(const PointSet& data, const PointSet& cohort,
+                                    const knn::GpuKnnOptions& engine_gpu) {
+  knn::GpuKnnOptions g;
+  g.k = engine_gpu.k;
+  g.device = engine_gpu.device;
+  knn::BatchResult out = knn::brute_force_batch(data, cohort, g);
+  for (knn::QueryResult& q : out.queries) q.status = knn::QueryStatus::kDegradedFallback;
+  return out;
+}
+
 }  // namespace
 
 StreamingEngine::StreamingEngine(const sstree::SSTree& tree, StreamingOptions opts)
@@ -90,13 +102,7 @@ StreamingEngine::FlushOutcome StreamingEngine::dispatch(const PointSet& cohort) 
     }
   }
   if (out.brute_forced) {
-    knn::GpuKnnOptions g;
-    g.k = opts_.engine.gpu.k;
-    g.device = opts_.engine.gpu.device;
-    out.result = knn::brute_force_batch(*data_, cohort, g);
-    for (knn::QueryResult& q : out.result.queries) {
-      q.status = knn::QueryStatus::kDegradedFallback;
-    }
+    out.result = brute_force_cohort(*data_, cohort, opts_.engine.gpu);
   } else {
     out.result = batch_ ? batch_->run(cohort) : sharded_->run(cohort);
   }
@@ -133,6 +139,14 @@ StreamingReport StreamingEngine::run(const ArrivalStream& stream) {
   // snapshot them so the report carries this run's deltas only.
   const replica::ReplicaStats replica_base =
       replicas_ ? replicas_->stats() : replica::ReplicaStats{};
+  // Exact-or-flagged at the entry: reject a malformed stream before any
+  // arrival is routed (a NaN cell key is undefined) or any flush moves the
+  // replica router's health state.
+  PSB_REQUIRE(stream.queries.size() == stream.time_us.size(),
+              "stream needs exactly one arrival time per query");
+  PSB_REQUIRE(std::is_sorted(stream.time_us.begin(), stream.time_us.end()),
+              "stream arrival times must be nondecreasing");
+  require_finite(stream.queries, "stream query");
   report.arrivals = stream.size();
   report.queries.resize(stream.size());
   if (stream.size() > 0) {
@@ -177,13 +191,7 @@ StreamingReport StreamingEngine::run(const ArrivalStream& stream) {
         // Ladder bottom: every replica down or out of attempts. The
         // front-end answers the cohort itself with an exact brute-force
         // scan, flagged kDegradedFallback — late and degraded, never lost.
-        knn::GpuKnnOptions g;
-        g.k = opts_.engine.gpu.k;
-        g.device = opts_.engine.gpu.device;
-        out.result = knn::brute_force_batch(*data_, cohort, g);
-        for (knn::QueryResult& q : out.result.queries) {
-          q.status = knn::QueryStatus::kDegradedFallback;
-        }
+        out.result = brute_force_cohort(*data_, cohort, opts_.engine.gpu);
         out.brute_forced = true;
         const auto brute_us =
             static_cast<std::uint64_t>(std::llround(out.result.timing.wall_ms * 1000.0));

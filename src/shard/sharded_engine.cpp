@@ -3,19 +3,13 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <thread>
+#include <utility>
 
 #include "common/error.hpp"
-#include "exec/executor.hpp"
 #include "fault/fault.hpp"
 #include "fault/sites.hpp"
 #include "hilbert/hilbert.hpp"
-#include "knn/best_first.hpp"
-#include "knn/branch_and_bound.hpp"
-#include "knn/implicit_stackless.hpp"
-#include "knn/psb.hpp"
-#include "knn/stackless_baselines.hpp"
-#include "knn/task_parallel_sstree.hpp"
+#include "knn/brute_force.hpp"
 #include "layout/implicit.hpp"
 #include "layout/snapshot.hpp"
 #include "obs/registry.hpp"
@@ -26,8 +20,6 @@
 
 namespace psb::shard {
 namespace {
-
-using engine::Algorithm;
 
 /// Per-query degradation/behavior events, accumulated lock-free in disjoint
 /// slots and folded into the obs registry on the merge thread (so totals are
@@ -241,21 +233,13 @@ knn::BatchResult ShardedEngine::run(const PointSet& queries) {
   for (auto& shp : shards_) {
     Shard& sh = *shp;
     if (sh.snapshot != nullptr) {
-      if (fault::enabled()) {
-        if (const fault::Shot shot = fault::evaluate(fault::kSiteSnapshotSegment)) {
-          sh.snapshot->corrupt(shot.payload);
-        }
-      }
+      fault::strike(sh.snapshot.get(), fault::kSiteSnapshotSegment);
       const bool ok = sh.snapshot->verify();
       if (sh.snapshot_ok && !ok) reg.add("engine.shard.snapshot_fallback", 1);
       sh.snapshot_ok = ok;
     }
     if (sh.implicit != nullptr) {
-      if (fault::enabled()) {
-        if (const fault::Shot shot = fault::evaluate(fault::kSiteImplicitEscape)) {
-          sh.implicit->corrupt(shot.payload);
-        }
-      }
+      fault::strike(sh.implicit.get(), fault::kSiteImplicitEscape);
       const bool ok = sh.implicit->verify();
       if (sh.implicit_ok && !ok) reg.add("engine.layout.fallback", 1);
       sh.implicit_ok = ok;
@@ -264,7 +248,7 @@ knn::BatchResult ShardedEngine::run(const PointSet& queries) {
   // The task-parallel kernel has no implicit-arena path; the scatter passes
   // below serve it from the snapshot/pointer path — an explicit counted
   // downgrade, never silent.
-  if (opts_.engine.algorithm == Algorithm::kTaskParallel &&
+  if (opts_.engine.algorithm == engine::Algorithm::kTaskParallel &&
       opts_.engine.needs_implicit_layout()) {
     reg.add("engine.layout.fallback", 1);
   }
@@ -289,23 +273,7 @@ knn::BatchResult ShardedEngine::run(const PointSet& queries) {
   // static slices parallelize without changing any result. Cache-enabled
   // batches run serially: LRU state and hit/miss counters would otherwise
   // depend on thread interleaving.
-  std::size_t workers = cache_ != nullptr ? 1 : opts_.engine.num_threads;
-  if (workers == 0) workers = std::max(1u, std::thread::hardware_concurrency());
-  workers = std::min(workers, std::max<std::size_t>(n, 1));
-  if (workers <= 1 || n <= 1) {
-    work(0, n);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    const std::size_t per = (n + workers - 1) / workers;
-    for (std::size_t w = 0; w < workers; ++w) {
-      const std::size_t begin = w * per;
-      const std::size_t end = std::min(n, begin + per);
-      if (begin >= end) break;
-      pool.emplace_back(work, begin, end);
-    }
-    for (std::thread& t : pool) t.join();
-  }
+  engine::run_slices(cache_ != nullptr ? 1 : opts_.engine.num_threads, n, work);
 
   knn::BatchResult out;
   out.queries = std::move(results);
@@ -430,11 +398,13 @@ knn::QueryResult ShardedEngine::run_shard_pass(Shard& sh, std::span<const Scalar
                                                Scalar shared_bound, simt::Metrics& m,
                                                std::span<std::uint64_t> ev,
                                                std::vector<simt::StepPhase>& steps) {
-  knn::GpuKnnOptions gpu = opts_.engine.gpu;
-  gpu.initial_prune_bound = shared_bound;
-  gpu.snapshot = sh.snapshot_ok ? sh.snapshot.get() : nullptr;
-  gpu.implicit = sh.implicit_ok ? sh.implicit.get() : nullptr;
-  gpu.fetch_session = nullptr;
+  // The shard's exact scan is alive-aware: erased rows stay in the local
+  // PointSet (and in the coalesced stream) but are never answered.
+  const auto scan = [&](const knn::GpuKnnOptions& gpu) {
+    simt::Block block(gpu.device, knn::brute_force_threads(gpu), &m);
+    return knn::filtered_scan(block, sh.points, q, std::min(gpu.k, sh.alive_count),
+                              [&sh](PointId i) { return sh.alive[i] != 0; });
+  };
 
   // engine.shard.slice: this (query, shard) pass died before producing a
   // result. Rerun it (injected faults are one-shot, so the rerun sees clean
@@ -444,147 +414,35 @@ knn::QueryResult ShardedEngine::run_shard_pass(Shard& sh, std::span<const Scalar
     ++ev[kEvSliceDeaths];
     if (fault::evaluate(fault::kSiteShardSlice)) {
       ++ev[kEvSliceBrutes];
-      knn::QueryResult r = shard_scan(sh, q, m);
+      knn::QueryResult r = scan(opts_.engine.gpu);
       r.status = knn::QueryStatus::kDegradedFallback;
       return r;
     }
     ++ev[kEvSliceReruns];
   }
 
-  const Algorithm algo = opts_.engine.algorithm;
-  if (algo != Algorithm::kTaskParallel && fault::enabled()) {
-    if (const fault::Shot shot = fault::evaluate(fault::kSiteQueryBudget)) {
-      gpu.query_budget_nodes = 1 + shot.payload % 4;
-    }
-  }
-
-  // One pass as a resumable executor (same traversal, same charges as the
-  // knn::*_query functions — see BatchEngine): completed passes append their
-  // resume steps to the query's stream; an abandoned attempt's steps are
-  // dropped.
-  const auto run_executor = [&]() -> knn::QueryResult {
-    knn::QueryResult res;
-    const auto loop = [&](auto pass_fn) {
-      return exec::make_loop_executor([&res, pass_fn] { res = pass_fn(); }, gpu.device, &m,
-                                      engine::block_threads_for(algo, opts_.degree, gpu));
-    };
-    std::unique_ptr<exec::Executor> ex;
-    switch (algo) {
-      case Algorithm::kStacklessSkip:
-        ex = exec::make_skip_pointer_executor(*sh.tree, q, gpu, &m, res);
-        break;
-      case Algorithm::kImplicitStackless:
-        // With the shard's layout gone (verify() failed), the skip-pointer
-        // twin runs the identical preorder sweep on the pointer path — a
-        // typed, exact fallback counted by the per-shard gate above.
-        ex = gpu.implicit != nullptr
-                 ? exec::make_implicit_stackless_executor(*sh.tree, q, gpu, &m, res)
-                 : exec::make_skip_pointer_executor(*sh.tree, q, gpu, &m, res);
-        break;
-      case Algorithm::kPsb:
-        ex = loop([&] { return knn::psb_query(*sh.tree, q, gpu, &m); });
-        break;
-      case Algorithm::kBestFirst:
-        ex = loop([&] { return knn::best_first_gpu_query(*sh.tree, q, gpu, &m); });
-        break;
-      case Algorithm::kBranchAndBound:
-        ex = loop([&] { return knn::bnb_query(*sh.tree, q, gpu, &m); });
-        break;
-      case Algorithm::kStacklessRestart:
-        ex = loop([&] { return knn::restart_query(*sh.tree, q, gpu, &m); });
-        break;
-      case Algorithm::kBruteForce:
-        // The shard's exhaustive pass is the alive-aware scan (erased rows
-        // stay in the local PointSet but must not be answered).
-        ex = loop([&] { return shard_scan(sh, q, m); });
-        break;
-      case Algorithm::kTaskParallel:
-        ex = loop([&] {
-          knn::TaskParallelSsOptions tp;
-          tp.k = gpu.k;
-          tp.device = gpu.device;
-          tp.snapshot = gpu.snapshot;
-          tp.initial_prune_bound = gpu.initial_prune_bound;
-          return knn::task_parallel_sstree_query(*sh.tree, q, tp, &m);
-        });
-        break;
-    }
-    exec::drive(*ex);
-    steps.insert(steps.end(), ex->steps().begin(), ex->steps().end());
-    return res;
+  knn::GpuKnnOptions gpu = opts_.engine.gpu;
+  gpu.initial_prune_bound = shared_bound;
+  gpu.snapshot = sh.snapshot_ok ? sh.snapshot.get() : nullptr;
+  gpu.implicit = sh.implicit_ok ? sh.implicit.get() : nullptr;
+  gpu.fetch_session = nullptr;
+  std::uint16_t pass_ev = 0;
+  knn::QueryResult r = engine::run_pass(opts_.engine.algorithm, *sh.tree, q, std::move(gpu),
+                                        /*deadline_cut=*/false, scan, &m, steps, pass_ev);
+  // Unlike BatchEngine, the resume rung keeps its own rerun and scan counts.
+  static constexpr std::pair<std::uint16_t, Ev> kPassCounter[] = {
+      {engine::kPassDataFault, kEvDataFaults},
+      {engine::kPassRetried, kEvRetries},
+      {engine::kPassRetryScan | engine::kPassBudgetScan, kEvBruteFallbacks},
+      {engine::kPassBudgetExhausted, kEvBudgetExhausted},
+      {engine::kPassResumeFault, kEvResumeFaults},
+      {engine::kPassResumeRerun, kEvResumeReruns},
+      {engine::kPassResumeScan, kEvResumeBrutes},
   };
-
-  knn::QueryResult r;
-  try {
-    r = run_executor();
-  } catch (const exec::ResumeFault&) {
-    // A killed resume step abandons the suspended executor. The injected
-    // kill is one-shot, so the fresh-executor rerun sees a quiet site and
-    // answers exactly (masked but counted); a second kill — or any data
-    // fault during the rerun — falls to the exact shard scan.
-    ++ev[kEvResumeFaults];
-    try {
-      r = run_executor();
-      ++ev[kEvResumeReruns];
-    } catch (const DataFault&) {
-      ++ev[kEvResumeBrutes];
-      r = shard_scan(sh, q, m);
-      r.status = knn::QueryStatus::kDegradedFallback;
-      return r;
-    }
-  } catch (const DataFault&) {
-    ++ev[kEvDataFaults];
-    knn::GpuKnnOptions retry = gpu;
-    retry.snapshot = nullptr;
-    retry.implicit = nullptr;
-    try {
-      r = knn::restart_query(*sh.tree, q, retry, &m);
-      r.status = knn::QueryStatus::kDegradedFallback;
-      ++ev[kEvRetries];
-    } catch (const DataFault&) {
-      ++ev[kEvBruteFallbacks];
-      r = shard_scan(sh, q, m);
-      r.status = knn::QueryStatus::kDegradedFallback;
-      return r;
-    }
-  }
-  if (r.budget_exhausted) {
-    ++ev[kEvBudgetExhausted];
-    ++ev[kEvBruteFallbacks];
-    const knn::TraversalStats partial = r.stats;
-    r = shard_scan(sh, q, m);
-    r.stats.merge(partial);  // keep the abandoned traversal's work visible
-    r.status = knn::QueryStatus::kDegradedFallback;
-    r.budget_exhausted = true;
+  for (const auto& [mask, e] : kPassCounter) {
+    if ((pass_ev & mask) != 0) ++ev[e];
   }
   return r;
-}
-
-knn::QueryResult ShardedEngine::shard_scan(const Shard& sh, std::span<const Scalar> q,
-                                           simt::Metrics& m) const {
-  const knn::GpuKnnOptions& gpu = opts_.engine.gpu;
-  const int threads = engine::block_threads_for(Algorithm::kBruteForce, opts_.degree, gpu);
-  simt::Block block(gpu.device, threads, &m);
-  knn::QueryResult out;
-  KnnHeap heap(std::min(gpu.k, sh.alive_count));
-  const std::size_t d = sh.points.dims();
-  const std::size_t chunk = static_cast<std::size_t>(block.threads());
-  std::vector<Scalar> dists(chunk);
-  for (std::size_t base = 0; base < sh.points.size(); base += chunk) {
-    const std::size_t count = std::min(chunk, sh.points.size() - base);
-    // Erased rows stay in the array, so the coalesced stream (and the lane
-    // arithmetic) covers them; only alive rows are offered as candidates.
-    block.load_global(count * d * sizeof(Scalar), simt::Access::kCoalesced);
-    block.par_for(count, static_cast<std::uint64_t>(d) * 3 + 1,
-                  [&](std::size_t i) { dists[i] = distance(q, sh.points[base + i]); });
-    out.stats.points_examined += count;
-    for (std::size_t i = 0; i < count; ++i) {
-      if (!sh.alive[base + i]) continue;
-      if (heap.offer(dists[i], static_cast<PointId>(base + i))) ++out.stats.heap_inserts;
-    }
-  }
-  out.neighbors = heap.sorted();
-  return out;
 }
 
 PointId ShardedEngine::insert(std::span<const Scalar> p) {

@@ -17,15 +17,13 @@
 // the whole batch delegates to the shard's BatchEngine, making the S=1
 // configuration bit-identical to the unsharded serving path.
 //
-// Degradation policy (mirrors engine::BatchEngine, docs/sharding.md):
-// a dead (query, shard) slice — the engine.shard.slice fault — is rerun
-// once and then answered by an exact alive-mask-aware brute-force scan of
-// the shard (kDegradedFallback); DataFault retries on the pointer path then
-// brute-forces; budget exhaustion brute-forces (exact, kDegradedFallback).
-// Shard passes run as resumable executors (src/exec/): a killed
-// resume step — the exec.resume fault — reruns the pass on a fresh executor
-// and, failing that, falls to the exact shard scan, and the recorded resume
-// steps feed the stream-overlap model (engine.shard.exec_* counters).
+// Degradation policy (docs/sharding.md): a dead (query, shard) slice — the
+// engine.shard.slice fault — is rerun once and then answered by an exact
+// alive-mask-aware brute-force scan of the shard (kDegradedFallback). Every
+// other rung is engine::run_pass, the per-pass ladder shared with
+// BatchEngine, with that alive-aware scan as its exact last rung; its
+// events land in the engine.shard.* counters, and the recorded resume steps
+// feed the stream-overlap model (engine.shard.exec_* counters).
 //
 // Online updates route to the owning shard through sstree::Updater; the
 // optional LRU result cache (result_cache.hpp) is invalidated on every
@@ -88,10 +86,7 @@ class ShardedEngine {
   /// coordinate.
   knn::BatchResult run(const PointSet& queries);
 
-  struct TracedRun {
-    knn::BatchResult result;
-    obs::TraceReport trace;
-  };
+  using TracedRun = engine::BatchEngine::TracedRun;
   /// Like run(), but installs a private collector and returns the traces.
   TracedRun run_traced(const PointSet& queries);
 
@@ -119,8 +114,6 @@ class ShardedEngine {
   knn::QueryResult run_shard_pass(Shard& sh, std::span<const Scalar> q, Scalar shared_bound,
                                   simt::Metrics& m, std::span<std::uint64_t> ev,
                                   std::vector<simt::StepPhase>& steps);
-  knn::QueryResult shard_scan(const Shard& sh, std::span<const Scalar> q,
-                              simt::Metrics& m) const;
 
   std::size_t dims_ = 0;
   ShardedEngineOptions opts_;

@@ -4,14 +4,20 @@
 // tests; this file pins the contract those rely on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/geometry.hpp"
+#include "engine/batch_engine.hpp"
 #include "fault/fault.hpp"
 #include "fault/report.hpp"
 #include "fault/sites.hpp"
 #include "join/join_engine.hpp"
+#include "knn/brute_force.hpp"
+#include "obs/registry.hpp"
 #include "serve/arrivals.hpp"
 #include "serve/streaming_engine.hpp"
 #include "shard/sharded_engine.hpp"
@@ -361,6 +367,207 @@ TEST(JoinPairFault, RerunMasksThenBruteForceFlags) {
     EXPECT_TRUE(degraded);
     expect_same(got, "brute fallback");
   }
+}
+
+// The per-pass degradation ladder of both query engines, pinned rung by
+// rung: one armed site per case, single-threaded over the snapshot layout.
+// Each case checks the exact registry delta of every ladder counter (a
+// counter the engine must not export stays absent), every query's status,
+// and that every answer — flagged or not — equals the exhaustive scan.
+struct LadderCase {
+  std::string_view site;
+  std::uint64_t trigger;
+  std::uint64_t count;
+  /// Nonzero ladder-counter deltas, "name=value" sorted by name.
+  std::string counters;
+  /// One letter per query: '.' kOk, 'D' kDegradedFallback, 'P' kDeadlinePartial.
+  std::string statuses;
+};
+
+bool is_ladder_counter(std::string_view name) {
+  static constexpr std::string_view kShardRungs[] = {
+      "engine.shard.slice_deaths",     "engine.shard.slice_reruns",
+      "engine.shard.slice_brute_fallbacks",
+      "engine.shard.data_faults",      "engine.shard.retries",
+      "engine.shard.brute_fallbacks",  "engine.shard.budget_exhausted",
+      "engine.shard.resume_faults",    "engine.shard.resume_reruns",
+      "engine.shard.resume_brute_fallbacks",
+  };
+  if (name.starts_with("engine.fault.")) return true;
+  return std::find(std::begin(kShardRungs), std::end(kShardRungs), name) !=
+         std::end(kShardRungs);
+}
+
+std::map<std::string, std::uint64_t> ladder_counters() {
+  std::map<std::string, std::uint64_t> out;
+  for (const auto& [name, value] : obs::Registry::global().snapshot().counters) {
+    if (is_ladder_counter(name)) out[name] = value;
+  }
+  return out;
+}
+
+template <typename RunFn>
+void expect_ladder(RunFn&& run, const knn::BatchResult& truth, const LadderCase& c) {
+  SCOPED_TRACE(std::string(c.site) + " count " + std::to_string(c.count));
+  const std::map<std::string, std::uint64_t> before = ladder_counters();
+  knn::BatchResult got;
+  {
+    InjectionScope scope(Spec{std::string(c.site), 41, c.trigger, c.count});
+    got = run();
+    EXPECT_EQ(scope.fired(c.site), c.count);
+  }
+  std::string counters;
+  for (const auto& [name, value] : ladder_counters()) {
+    const auto it = before.find(name);
+    const std::uint64_t delta = value - (it == before.end() ? 0 : it->second);
+    if (delta == 0) continue;
+    if (!counters.empty()) counters += ' ';
+    counters += name + "=" + std::to_string(delta);
+  }
+  EXPECT_EQ(counters, c.counters);
+
+  std::string statuses;
+  for (const knn::QueryResult& q : got.queries) {
+    statuses += q.status == knn::QueryStatus::kOk                 ? '.'
+                : q.status == knn::QueryStatus::kDegradedFallback ? 'D'
+                                                                  : 'P';
+  }
+  EXPECT_EQ(statuses, c.statuses);
+
+  ASSERT_EQ(got.queries.size(), truth.queries.size());
+  for (std::size_t q = 0; q < truth.queries.size(); ++q) {
+    const auto& want = truth.queries[q].neighbors;
+    const auto& have = got.queries[q].neighbors;
+    ASSERT_EQ(have.size(), want.size()) << "query " << q;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(have[i].id, want[i].id) << "query " << q << " rank " << i;
+      EXPECT_EQ(have[i].dist, want[i].dist) << "query " << q << " rank " << i;
+    }
+  }
+}
+
+struct LadderWorkload {
+  PointSet data = test::small_clustered(3, 400, 6061);
+  PointSet queries = test::random_queries(3, 8, 6062);
+  knn::BatchResult truth;
+
+  LadderWorkload() {
+    knn::GpuKnnOptions ref;
+    ref.k = 5;
+    truth = knn::brute_force_batch(data, queries, ref);
+  }
+
+  engine::BatchEngineOptions engine_options(engine::Algorithm algo) const {
+    engine::BatchEngineOptions eo;
+    eo.algorithm = algo;
+    eo.gpu.k = 5;
+    eo.layout = engine::NodeLayout::kSnapshot;
+    eo.num_threads = 1;
+    return eo;
+  }
+};
+
+void run_batch_ladder(engine::Algorithm algo, const std::vector<LadderCase>& cases) {
+  const LadderWorkload w;
+  const sstree::BuildOutput built = sstree::build_kmeans(w.data, 8, {});
+  const engine::BatchEngine eng(built.tree, w.engine_options(algo));
+  ASSERT_TRUE(eng.run(w.queries).all_ok());
+  for (const LadderCase& c : cases) expect_ladder([&] { return eng.run(w.queries); }, w.truth, c);
+}
+
+void run_sharded_ladder(engine::Algorithm algo, const std::vector<LadderCase>& cases) {
+  const LadderWorkload w;
+  shard::ShardedEngineOptions so;
+  so.num_shards = 4;
+  so.degree = 8;
+  so.engine = w.engine_options(algo);
+  shard::ShardedEngine eng(w.data, so);
+  ASSERT_TRUE(eng.run(w.queries).all_ok());
+  for (const LadderCase& c : cases) expect_ladder([&] { return eng.run(w.queries); }, w.truth, c);
+}
+
+TEST(EngineLadder, BatchEnginePsb) {
+  run_batch_ladder(engine::Algorithm::kPsb, {
+      {kSiteNodeBoundsBitflip, 40, 1,
+       "engine.fault.data_faults=1 engine.fault.retries=1", ".D......"},
+      {kSiteNodeBoundsBitflip, 40, 2,
+       "engine.fault.brute_fallbacks=1 engine.fault.data_faults=1", ".D......"},
+      {kSiteQueryBudget, 3, 1,
+       "engine.fault.brute_fallbacks=1 engine.fault.budget_exhausted=1 "
+       "engine.fault.budget_injected=1",
+       "...D...."},
+      {kSiteQueryBudget, 3, 2,
+       "engine.fault.brute_fallbacks=2 engine.fault.budget_exhausted=2 "
+       "engine.fault.budget_injected=2",
+       "...DD..."},
+      {kSiteExecResume, 2, 1,
+       "engine.fault.resume_faults=1", "........"},
+      {kSiteExecResume, 2, 2,
+       "engine.fault.brute_fallbacks=1 engine.fault.resume_faults=1", "..D....."},
+  });
+}
+
+TEST(EngineLadder, BatchEngineStacklessSkip) {
+  run_batch_ladder(engine::Algorithm::kStacklessSkip, {
+      {kSiteNodeBoundsBitflip, 40, 1,
+       "engine.fault.data_faults=1 engine.fault.retries=1", "D......."},
+      {kSiteNodeBoundsBitflip, 40, 2,
+       "engine.fault.brute_fallbacks=1 engine.fault.data_faults=1", "D......."},
+      {kSiteQueryBudget, 3, 1,
+       "engine.fault.brute_fallbacks=1 engine.fault.budget_exhausted=1 "
+       "engine.fault.budget_injected=1",
+       "...D...."},
+      {kSiteQueryBudget, 3, 2,
+       "engine.fault.brute_fallbacks=2 engine.fault.budget_exhausted=2 "
+       "engine.fault.budget_injected=2",
+       "...DD..."},
+      {kSiteExecResume, 30, 1,
+       "engine.fault.resume_faults=1", "........"},
+      {kSiteExecResume, 30, 2,
+       "engine.fault.brute_fallbacks=1 engine.fault.resume_faults=1", "D......."},
+  });
+}
+
+TEST(EngineLadder, ShardedEnginePsb) {
+  run_sharded_ladder(engine::Algorithm::kPsb, {
+      {kSiteNodeBoundsBitflip, 40, 1,
+       "engine.shard.data_faults=1 engine.shard.retries=1", ".D......"},
+      {kSiteNodeBoundsBitflip, 40, 2,
+       "engine.shard.brute_fallbacks=1 engine.shard.data_faults=1", ".D......"},
+      {kSiteQueryBudget, 3, 1,
+       "engine.shard.brute_fallbacks=1 engine.shard.budget_exhausted=1", ".D......"},
+      {kSiteQueryBudget, 3, 2,
+       "engine.shard.brute_fallbacks=2 engine.shard.budget_exhausted=2", ".D......"},
+      {kSiteExecResume, 2, 1,
+       "engine.shard.resume_faults=1 engine.shard.resume_reruns=1", "........"},
+      {kSiteExecResume, 2, 2,
+       "engine.shard.resume_brute_fallbacks=1 engine.shard.resume_faults=1", "D......."},
+      {kSiteShardSlice, 3, 1,
+       "engine.shard.slice_deaths=1 engine.shard.slice_reruns=1", "........"},
+      {kSiteShardSlice, 3, 2,
+       "engine.shard.slice_brute_fallbacks=1 engine.shard.slice_deaths=1", ".D......"},
+  });
+}
+
+TEST(EngineLadder, ShardedEngineStacklessSkip) {
+  run_sharded_ladder(engine::Algorithm::kStacklessSkip, {
+      {kSiteNodeBoundsBitflip, 40, 1,
+       "engine.shard.data_faults=1 engine.shard.retries=1", "D......."},
+      {kSiteNodeBoundsBitflip, 40, 2,
+       "engine.shard.brute_fallbacks=1 engine.shard.data_faults=1", "D......."},
+      {kSiteQueryBudget, 3, 1,
+       "engine.shard.brute_fallbacks=1 engine.shard.budget_exhausted=1", ".D......"},
+      {kSiteQueryBudget, 3, 2,
+       "engine.shard.brute_fallbacks=2 engine.shard.budget_exhausted=2", ".D......"},
+      {kSiteExecResume, 30, 1,
+       "engine.shard.resume_faults=1 engine.shard.resume_reruns=1", "........"},
+      {kSiteExecResume, 30, 2,
+       "engine.shard.resume_brute_fallbacks=1 engine.shard.resume_faults=1", "..D....."},
+      {kSiteShardSlice, 3, 1,
+       "engine.shard.slice_deaths=1 engine.shard.slice_reruns=1", "........"},
+      {kSiteShardSlice, 3, 2,
+       "engine.shard.slice_brute_fallbacks=1 engine.shard.slice_deaths=1", ".D......"},
+  });
 }
 
 }  // namespace

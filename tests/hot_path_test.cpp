@@ -18,6 +18,8 @@
 #include "join/join_engine.hpp"
 #include "knn/detail/traversal_common.hpp"
 #include "knn/shared_heap.hpp"
+#include "obs/registry.hpp"
+#include "serve/streaming_engine.hpp"
 #include "shard/sharded_engine.hpp"
 #include "sstree/builders.hpp"
 #include "test_util.hpp"
@@ -371,6 +373,49 @@ TEST_P(NonFiniteQuery, ShardedInsertRejectsItNamingTheCoordinate) {
       EXPECT_EQ(after.queries[q].neighbors[i].dist, before.queries[q].neighbors[i].dist);
     }
   }
+}
+
+/// Six arrivals 100 us apart over a replicated naive streaming front-end, so
+/// every arrival before a bad one would already have been dispatched.
+struct StreamFixture {
+  PointSet data = test::small_clustered(3, 300, /*seed=*/11);
+  sstree::BuildOutput built = sstree::build_kmeans(data, 8, {});
+  serve::ArrivalStream stream;
+
+  StreamFixture() {
+    stream.queries = test::random_queries(3, 6, /*seed=*/12);
+    for (std::size_t i = 0; i < stream.queries.size(); ++i) stream.time_us.push_back(i * 100);
+  }
+
+  serve::StreamingEngine engine() const {
+    serve::StreamingOptions so;
+    so.engine.gpu.k = 4;
+    so.mode = serve::DispatchMode::kNaive;
+    so.replica.replicas = 3;
+    return serve::StreamingEngine(built.tree, so);
+  }
+};
+
+TEST_P(NonFiniteQuery, StreamingEngineRejectsItBeforeAnyDispatch) {
+  StreamFixture f;
+  f.stream.queries.mutable_point(4)[1] = GetParam();
+  serve::StreamingEngine eng = f.engine();
+  const std::uint64_t batches = obs::Registry::global().counter("engine.batches").load();
+  expect_rejected([&] { (void)eng.run(f.stream); }, "stream query 4", "StreamingEngine::run");
+  // Rejected at the entry: no arrival was routed or flushed to a backend.
+  EXPECT_EQ(obs::Registry::global().counter("engine.batches").load(), batches);
+}
+
+TEST(HotPathStream, RejectsArrivalTimesThatBreakTheStreamContract) {
+  StreamFixture f;
+  serve::StreamingEngine eng = f.engine();
+  serve::ArrivalStream short_times = f.stream;
+  short_times.time_us.pop_back();
+  EXPECT_THROW((void)eng.run(short_times), InvalidArgument);
+  serve::ArrivalStream unsorted = f.stream;
+  std::swap(unsorted.time_us[1], unsorted.time_us[2]);
+  EXPECT_THROW((void)eng.run(unsorted), InvalidArgument);
+  EXPECT_EQ(eng.run(f.stream).answered, f.stream.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(HotPath, NonFiniteQuery,

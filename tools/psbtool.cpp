@@ -993,6 +993,20 @@ int cmd_bench(const Args& args) {
 // or silently wrong answer. Any other outcome throws InternalError (exit 4).
 // ---------------------------------------------------------------------------
 
+/// A served campaign stream's per-arrival answers (arrival order == workload
+/// query order) as a BatchResult for the oracle below. The campaign streams
+/// are unbounded, so none may be shed.
+knn::BatchResult stream_answers(serve::StreamingReport rep, const std::string& context) {
+  knn::BatchResult got;
+  got.queries.resize(rep.queries.size());
+  for (std::size_t q = 0; q < rep.queries.size(); ++q) {
+    PSB_ASSERT(!rep.queries[q].shed, context + ": unbounded stream shed a query");
+    got.queries[q].neighbors = std::move(rep.queries[q].neighbors);
+    got.queries[q].status = rep.queries[q].status;
+  }
+  return got;
+}
+
 /// Exact-match check against the ground truth. kDeadlinePartial lists are
 /// exempt (they are flagged as best-effort); everything else must agree.
 void check_exact_or_flagged(const knn::BatchResult& got, const knn::BatchResult& truth,
@@ -1246,13 +1260,7 @@ int cmd_faultcamp(const Args& args) {
       so.replica.groups = 2;
       so.replica.health_seed = base_seed + 7;
       serve::StreamingEngine seng(built.tree, so);
-      serve::StreamingReport rep = seng.run(campaign_stream);
-      got.queries.resize(rep.queries.size());
-      for (std::size_t q = 0; q < rep.queries.size(); ++q) {
-        PSB_ASSERT(!rep.queries[q].shed, context + ": unbounded stream shed a query");
-        got.queries[q].neighbors = std::move(rep.queries[q].neighbors);
-        got.queries[q].status = rep.queries[q].status;
-      }
+      got = stream_answers(seng.run(campaign_stream), context);
     } else if (site == fault::kSiteJoinPair) {
       // The pair site only exists on the dual-tree join engine; a kNN-join
       // of the workload queries returns each query's k nearest dataset
@@ -1262,13 +1270,7 @@ int cmd_faultcamp(const Args& args) {
       // The flush site only exists on the streaming front-end; replay the
       // fixed-cadence stream and hold the per-arrival answers (arrival order
       // == workload query order) to the same exact-or-flagged oracle.
-      serve::StreamingReport rep = streamer_for(algo_idx).run(campaign_stream);
-      got.queries.resize(rep.queries.size());
-      for (std::size_t q = 0; q < rep.queries.size(); ++q) {
-        PSB_ASSERT(!rep.queries[q].shed, context + ": unbounded stream shed a query");
-        got.queries[q].neighbors = std::move(rep.queries[q].neighbors);
-        got.queries[q].status = rep.queries[q].status;
-      }
+      got = stream_answers(streamer_for(algo_idx).run(campaign_stream), context);
     } else {
       engine::BatchEngineOptions eo;
       eo.algorithm = algos[algo_idx];
@@ -1280,7 +1282,10 @@ int cmd_faultcamp(const Args& args) {
       // engine degrades to the pointer path — counted, never silent).
       if (site == fault::kSiteImplicitEscape) eo.layout = engine::NodeLayout::kImplicit;
       eo.warp_queries = 4;
-      eo.num_threads = 2;
+      // One worker, like every other campaign engine, so each trigger lands
+      // on the same query every run; engine.worker_slice still fires (the
+      // worker abandons its slice and the merge thread reruns the units).
+      eo.num_threads = 1;
       const engine::BatchEngine eng(built.tree, eo);
       got = eng.run(queries);
     }
@@ -1630,13 +1635,7 @@ int cmd_chaoscamp(const Args& args) {
       serve::StreamingEngine seng(built.tree, so);
       rep = seng.run(campaign_stream);
     }
-    knn::BatchResult got;
-    got.queries.resize(rep.queries.size());
-    for (std::size_t q = 0; q < rep.queries.size(); ++q) {
-      PSB_ASSERT(!rep.queries[q].shed, context + ": unbounded stream shed a query");
-      got.queries[q].neighbors = std::move(rep.queries[q].neighbors);
-      got.queries[q].status = rep.queries[q].status;
-    }
+    const knn::BatchResult got = stream_answers(std::move(rep), context);
     check_exact_or_flagged(got, truth, context);
 
     // Attribution is iteration-granular: under simultaneous faults the
