@@ -5,7 +5,9 @@
 # iterations — replicated hedged serving over every harness (snapshot,
 # implicit, sharded) — and exits nonzero if any query is answered wrong
 # without a degraded Status, any armed-but-fired fault is unaccounted, or a
-# site never rotates into the mix. Run locally exactly as CI does:
+# site never rotates into the mix. At the default iteration count the report
+# must also match bench/baselines/CHAOSCAMP.json. Run locally exactly as CI
+# does:
 #
 #   scripts/ci/chaos_campaign.sh            # asan (default)
 #   scripts/ci/chaos_campaign.sh ubsan
@@ -22,16 +24,21 @@ case "$PRESET" in
     ;;
 esac
 
-ITERATIONS="${ITERATIONS:-650}"
+DEFAULT_ITERATIONS=650
+ITERATIONS="${ITERATIONS:-$DEFAULT_ITERATIONS}"
 ARTIFACTS="${ARTIFACTS:-ci-artifacts}"
 mkdir -p "$ARTIFACTS"
 
 cmake --preset "$PRESET"
 cmake --build --preset "$PRESET" -j "${JOBS:-$(nproc)}" --target psbtool
 
+REPORT="$ARTIFACTS/CHAOSCAMP_${PRESET}.json"
 "build-${PRESET}/tools/psbtool" chaoscamp \
   --iterations "$ITERATIONS" \
   --workdir "build-${PRESET}" \
-  --out "$ARTIFACTS/CHAOSCAMP_${PRESET}.json"
+  --out "$REPORT"
+if [ "$ITERATIONS" = "$DEFAULT_ITERATIONS" ]; then
+  cmp "$REPORT" bench/baselines/CHAOSCAMP.json
+fi
 
 echo "chaos campaign (${PRESET}, ${ITERATIONS} iterations) passed"

@@ -4,8 +4,9 @@
 # >= 500 single-fault experiments across every registered fault site and exits
 # nonzero if any fault crashes the serving path, trips a sanitizer, or yields
 # a wrong answer without a degraded Status. It runs twice with the same seed
-# and fails unless the two reports are byte-identical. Run locally exactly as
-# CI does:
+# and fails unless the two reports are byte-identical; at the default
+# iteration count the report must also match bench/baselines/FAULTCAMP.json.
+# Run locally exactly as CI does:
 #
 #   scripts/ci/fault_campaign.sh            # asan (default)
 #   scripts/ci/fault_campaign.sh ubsan
@@ -22,7 +23,8 @@ case "$PRESET" in
     ;;
 esac
 
-ITERATIONS="${ITERATIONS:-1000}"
+DEFAULT_ITERATIONS=1000
+ITERATIONS="${ITERATIONS:-$DEFAULT_ITERATIONS}"
 ARTIFACTS="${ARTIFACTS:-ci-artifacts}"
 mkdir -p "$ARTIFACTS"
 
@@ -40,5 +42,8 @@ done
 # the report byte for byte.
 cmp "$REPORT" "$REPORT.rerun"
 rm "$REPORT.rerun"
+if [ "$ITERATIONS" = "$DEFAULT_ITERATIONS" ]; then
+  cmp "$REPORT" bench/baselines/FAULTCAMP.json
+fi
 
 echo "fault campaign (${PRESET}, ${ITERATIONS} iterations) passed and reproduced"

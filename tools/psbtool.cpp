@@ -1,12 +1,11 @@
 // psbtool — command-line front end for the PSB library: generate datasets,
-// build and persist indexes, run exact kNN / radius queries, inspect index
-// structure. Everything a user needs to drive the system without writing C++.
-//
-//   psbtool generate --type clustered --dims 16 --count 100000 --out data.psb
-//   psbtool build    --data data.psb --out index.psbt --builder kmeans --degree 128
-//   psbtool info     --data data.psb --index index.psbt
-//   psbtool query    --data data.psb --index index.psbt --k 8 --num-queries 16
-//   psbtool radius   --data data.psb --index index.psbt --radius 50 --num-queries 4
+// build and persist indexes, run exact kNN / radius / join queries, serve
+// arrival streams, write the gated bench JSON and run the fault campaigns.
+// Everything a user needs to drive the system without writing C++; usage()
+// below lists every command and flag.
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -126,13 +125,31 @@ class Args {
     }
     return it->second;
   }
+  /// A non-negative decimal count: digits only, in range.
   std::size_t num(const std::string& key, std::size_t fallback) const {
     const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::strtoull(it->second.c_str(), nullptr, 10);
+    if (it == values_.end()) return fallback;
+    const std::string& v = it->second;
+    char* end = nullptr;
+    errno = 0;
+    const unsigned long long n = std::strtoull(v.c_str(), &end, 10);
+    if (v.empty() || !std::isdigit(static_cast<unsigned char>(v[0])) || *end != '\0' ||
+        errno == ERANGE) {
+      usage("--" + key + " takes a non-negative integer, got '" + v + "'");
+    }
+    return n;
   }
+  /// A finite decimal number, nothing after it.
   double real(const std::string& key, double fallback) const {
     const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
+    if (it == values_.end()) return fallback;
+    const std::string& v = it->second;
+    char* end = nullptr;
+    const double x = std::strtod(v.c_str(), &end);
+    if (v.empty() || *end != '\0' || !std::isfinite(x)) {
+      usage("--" + key + " takes a finite number, got '" + v + "'");
+    }
+    return x;
   }
   bool has(const std::string& key) const { return values_.count(key) > 0; }
 
@@ -172,36 +189,51 @@ int cmd_generate(const Args& args) {
   return 0;
 }
 
+/// The SS-tree that --builder, --bounds and --degree ask for over `points`.
+sstree::BuildOutput build_tree(const PointSet& points, const Args& args,
+                               std::size_t default_degree) {
+  const std::size_t degree = args.num("degree", default_degree);
+  const std::string builder = args.str("builder", "kmeans");
+  const sstree::BoundsMode bounds = args.str("bounds", "sphere") == "rect"
+                                        ? sstree::BoundsMode::kRect
+                                        : sstree::BoundsMode::kSphere;
+  if (builder == "kmeans") {
+    sstree::KMeansBuildOptions opts;
+    opts.bounds = bounds;
+    return sstree::build_kmeans(points, degree, opts);
+  }
+  if (builder == "hilbert") {
+    sstree::HilbertBuildOptions opts;
+    opts.bounds = bounds;
+    return sstree::build_hilbert(points, degree, opts);
+  }
+  if (builder == "topdown") {
+    if (bounds == sstree::BoundsMode::kRect) usage("topdown supports sphere bounds only");
+    return sstree::build_topdown(points, degree);
+  }
+  usage("unknown --builder " + builder);
+}
+
+/// One "query i: (id, dist) ..." line for each of the first `n` answers.
+void print_neighbors(const knn::BatchResult& r, std::size_t n) {
+  for (std::size_t i = 0; i < std::min(n, r.queries.size()); ++i) {
+    std::cout << "query " << i << ":";
+    for (const auto& e : r.queries[i].neighbors) {
+      std::cout << " (" << e.id << ", " << e.dist << ")";
+    }
+    std::cout << "\n";
+  }
+}
+
 int cmd_build(const Args& args) {
   const PointSet points = data::read_binary(args.str("data"));
-  const std::size_t degree = args.num("degree", 128);
-  const std::string builder = args.str("builder", "kmeans");
-  const std::string bounds_s = args.str("bounds", "sphere");
-  const sstree::BoundsMode bounds =
-      bounds_s == "rect" ? sstree::BoundsMode::kRect : sstree::BoundsMode::kSphere;
-
-  sstree::BuildOutput built = [&] {
-    if (builder == "kmeans") {
-      sstree::KMeansBuildOptions opts;
-      opts.bounds = bounds;
-      return sstree::build_kmeans(points, degree, opts);
-    }
-    if (builder == "hilbert") {
-      sstree::HilbertBuildOptions opts;
-      opts.bounds = bounds;
-      return sstree::build_hilbert(points, degree, opts);
-    }
-    if (builder == "topdown") {
-      if (bounds == sstree::BoundsMode::kRect) usage("topdown supports sphere bounds only");
-      return sstree::build_topdown(points, degree);
-    }
-    usage("unknown --builder " + builder);
-  }();
+  const sstree::BuildOutput built = build_tree(points, args, 128);
   built.tree.validate();
   sstree::write_index(built.tree, args.str("out"));
 
   const auto s = built.tree.stats();
-  std::cout << "built " << builder << " SS-tree (" << bounds_s << " bounds) in "
+  std::cout << "built " << args.str("builder", "kmeans") << " SS-tree ("
+            << args.str("bounds", "sphere") << " bounds) in "
             << built.host_build_seconds << " s: " << s.nodes << " nodes, " << s.leaves
             << " leaves, height " << s.height << ", leaf fill " << s.leaf_utilization * 100
             << "%\nindex written to " << args.str("out") << "\n";
@@ -262,13 +294,7 @@ int cmd_query(const Args& args) {
     sopts.engine.layout = node_layout;
     shard::ShardedEngine eng(points, sopts);
     const knn::BatchResult r = eng.run(queries);
-    for (std::size_t i = 0; i < r.queries.size(); ++i) {
-      std::cout << "query " << i << ":";
-      for (const auto& e : r.queries[i].neighbors) {
-        std::cout << " (" << e.id << ", " << e.dist << ")";
-      }
-      std::cout << "\n";
-    }
+    print_neighbors(r, r.queries.size());
     std::cout << "\n" << algo << " over " << eng.num_shards() << " shards: "
               << r.timing.avg_query_ms << " ms/query, "
               << r.accessed_mb() / static_cast<double>(queries.size())
@@ -333,13 +359,7 @@ int cmd_query(const Args& args) {
     usage("unknown --algo " + algo);
   }
 
-  for (std::size_t i = 0; i < r.queries.size(); ++i) {
-    std::cout << "query " << i << ":";
-    for (const auto& e : r.queries[i].neighbors) {
-      std::cout << " (" << e.id << ", " << e.dist << ")";
-    }
-    std::cout << "\n";
-  }
+  print_neighbors(r, r.queries.size());
   std::cout << "\n" << algo << ": " << r.timing.avg_query_ms << " ms/query, "
             << r.accessed_mb() / static_cast<double>(queries.size()) << " MB/query, warp eff "
             << r.metrics.warp_efficiency() * 100 << "%\n";
@@ -358,28 +378,7 @@ int cmd_join_like(const Args& args, bool self_join) {
   PointSet targets(points.dims());
   if (!self_join) targets = data::read_binary(args.str("targets"));
 
-  const std::size_t degree = args.num("degree", 64);
-  const std::string builder = args.str("builder", "kmeans");
-  const std::string bounds_s = args.str("bounds", "sphere");
-  const sstree::BoundsMode bounds =
-      bounds_s == "rect" ? sstree::BoundsMode::kRect : sstree::BoundsMode::kSphere;
-  const sstree::BuildOutput built = [&] {
-    if (builder == "kmeans") {
-      sstree::KMeansBuildOptions opts;
-      opts.bounds = bounds;
-      return sstree::build_kmeans(points, degree, opts);
-    }
-    if (builder == "hilbert") {
-      sstree::HilbertBuildOptions opts;
-      opts.bounds = bounds;
-      return sstree::build_hilbert(points, degree, opts);
-    }
-    if (builder == "topdown") {
-      if (bounds == sstree::BoundsMode::kRect) usage("topdown supports sphere bounds only");
-      return sstree::build_topdown(points, degree);
-    }
-    usage("unknown --builder " + builder);
-  }();
+  const sstree::BuildOutput built = build_tree(points, args, 64);
 
   join::JoinOptions jo;
   jo.k = args.num("k", 8);
@@ -405,14 +404,7 @@ int cmd_join_like(const Args& args, bool self_join) {
     if (q.status != knn::QueryStatus::kOk) ++flagged;
   }
 
-  const std::size_t print_n = std::min(args.num("print", 0), r.queries.size());
-  for (std::size_t i = 0; i < print_n; ++i) {
-    std::cout << "query " << i << ":";
-    for (const auto& e : r.queries[i].neighbors) {
-      std::cout << " (" << e.id << ", " << e.dist << ")";
-    }
-    std::cout << "\n";
-  }
+  print_neighbors(r, args.num("print", 0));
 
   const char* kind = self_join ? "allknn" : "join";
   std::printf(
@@ -697,18 +689,24 @@ int cmd_bench(const Args& args) {
         prefix += "_implicit_stackless";
       } else if (sharded) {
         prefix += "_" + variant;
-      } else if (variant == "stream_naive" || variant == "stream_buffered") {
+      } else if (variant == "stream_naive" || variant == "stream_buffered" ||
+                 variant == "replicated" || variant == "replicated_hedged") {
         // Streaming front-end variants: replay the shared arrival stream
-        // through the StreamingEngine. Both modes serve snapshot cohorts with
+        // through the StreamingEngine. Every mode serves snapshot cohorts with
         // Hilbert reordering; naive dispatches one cohort per arrival (so its
         // warp cohorts never exceed one query), buffered amortizes dispatch
         // overhead and shares fetch windows across each flushed cell cohort.
-        const bool buffered = variant == "stream_buffered";
+        // The replicated variants serve buffered cohorts from per-shard-range
+        // replica sets (src/replica/) under a seeded straggler profile; the
+        // hedged twin re-issues slow primaries against the next-healthiest
+        // sibling.
+        const bool replicated = variant == "replicated" || variant == "replicated_hedged";
         serve::StreamingOptions so;
         so.engine = eng_opts;
         so.engine.layout = engine::NodeLayout::kSnapshot;
         so.engine.reorder_queries = true;
-        so.mode = buffered ? serve::DispatchMode::kBuffered : serve::DispatchMode::kNaive;
+        so.mode = variant == "stream_naive" ? serve::DispatchMode::kNaive
+                                            : serve::DispatchMode::kBuffered;
         so.buffer_capacity = args.num("stream-capacity", 16);
         so.engine.warp_queries = so.buffer_capacity;
         so.deadline_us =
@@ -718,6 +716,16 @@ int cmd_bench(const Args& args) {
         so.admission_queue_bound = args.num("stream-queue-bound", 4096);
         so.cell_bits = static_cast<int>(args.num("stream-cell-bits", 3));
         so.dispatch_overhead_us = args.num("stream-overhead-us", 120);
+        if (replicated) {
+          so.replica.replicas = args.num("replicas", 3);
+          so.replica.groups = args.num("replica-groups", 4);
+          so.replica.health_seed = seed + 5;
+          so.replica.straggle_pct = static_cast<std::uint32_t>(args.num("straggle-pct", 10));
+          so.replica.straggle_multiplier = args.num("straggle-mult", 8);
+          so.replica.hedge = variant == "replicated_hedged";
+          so.replica.hedge_percentile = args.real("hedge-pct", 95.0);
+          so.replica.hedge_warmup = args.num("hedge-warmup", 16);
+        }
 
         serve::StreamingEngine seng(built.tree, so);
         const serve::StreamingReport rep = seng.run(arrival_stream());
@@ -729,7 +737,14 @@ int cmd_bench(const Args& args) {
         w.field(prefix + ".deadline_misses", rep.deadline_misses);
         w.field(prefix + ".max_queue_depth", rep.max_queue_depth);
         w.field(prefix + ".accessed_bytes", rep.accessed_bytes);
-        if (rep.exec.steps > 0) {
+        if (replicated) {
+          w.field(prefix + ".replica_attempts", rep.replica.attempts);
+          w.field(prefix + ".replica_straggles", rep.replica.straggles);
+          w.field(prefix + ".replica_failovers", rep.replica.failovers);
+          w.field(prefix + ".hedge_issued", rep.replica.hedge_issued);
+          w.field(prefix + ".hedge_won", rep.replica.hedge_won);
+          w.field(prefix + ".hedge_wasted", rep.replica.hedge_wasted);
+        } else if (rep.exec.steps > 0) {
           w.field(prefix + ".exec_steps", rep.exec.steps);
           w.field(prefix + ".exec_serialized_cycles", rep.exec.serialized_cycles);
           w.field(prefix + ".exec_overlapped_cycles", rep.exec.overlapped_cycles);
@@ -738,10 +753,11 @@ int cmd_bench(const Args& args) {
         w.field(prefix + ".p50_latency_us", rep.p50_us());
         w.field(prefix + ".p99_latency_us", rep.p99_us());
         w.field(prefix + ".throughput_qps", rep.throughput_qps());
-        if (!buffered) {
+        if (variant == "stream_naive") {
           stream_naive_p99 = static_cast<double>(rep.p99_us());
           stream_naive_bytes = static_cast<double>(rep.accessed_bytes);
-        } else if (stream_naive_p99 > 0.0 && stream_naive_bytes > 0.0) {
+        } else if (variant == "stream_buffered" && stream_naive_p99 > 0.0 &&
+                   stream_naive_bytes > 0.0) {
           // The streaming gate metrics: < 1.0 means buffered cohort dispatch
           // beat per-arrival dispatch on tail latency and on global-memory
           // bytes. List stream_naive before stream_buffered to get them.
@@ -749,63 +765,12 @@ int cmd_bench(const Args& args) {
                   static_cast<double>(rep.p99_us()) / stream_naive_p99);
           w.field(prefix + ".accessed_bytes_ratio",
                   static_cast<double>(rep.accessed_bytes) / stream_naive_bytes);
-        }
-        continue;
-      } else if (variant == "replicated" || variant == "replicated_hedged") {
-        // Replicated serving variants: the buffered streaming front-end over
-        // per-shard-range replica sets (src/replica/) with a seeded straggler
-        // profile. The unhedged run establishes the tail under stragglers;
-        // the hedged twin re-issues slow primaries against the next-healthiest
-        // sibling. List replicated before replicated_hedged to get the
-        // p99_latency_vs_unhedged_ratio gate field (< 1.0 = hedging won).
-        const bool hedged = variant == "replicated_hedged";
-        serve::StreamingOptions so;
-        so.engine = eng_opts;
-        so.engine.layout = engine::NodeLayout::kSnapshot;
-        so.engine.reorder_queries = true;
-        so.mode = serve::DispatchMode::kBuffered;
-        so.buffer_capacity = args.num("stream-capacity", 16);
-        so.engine.warp_queries = so.buffer_capacity;
-        so.deadline_us =
-            static_cast<std::uint64_t>(args.real("stream-deadline-ms", 20.0) * 1000.0);
-        so.flush_horizon_us =
-            static_cast<std::uint64_t>(args.real("stream-horizon-ms", 2.0) * 1000.0);
-        so.admission_queue_bound = args.num("stream-queue-bound", 4096);
-        so.cell_bits = static_cast<int>(args.num("stream-cell-bits", 3));
-        so.dispatch_overhead_us = args.num("stream-overhead-us", 120);
-        so.replica.replicas = args.num("replicas", 3);
-        so.replica.groups = args.num("replica-groups", 4);
-        so.replica.health_seed = seed + 5;
-        so.replica.straggle_pct = static_cast<std::uint32_t>(args.num("straggle-pct", 10));
-        so.replica.straggle_multiplier = args.num("straggle-mult", 8);
-        so.replica.hedge = hedged;
-        so.replica.hedge_percentile = args.real("hedge-pct", 95.0);
-        so.replica.hedge_warmup = args.num("hedge-warmup", 16);
-
-        serve::StreamingEngine seng(built.tree, so);
-        const serve::StreamingReport rep = seng.run(arrival_stream());
-        prefix = name + "_" + variant;
-        w.field(prefix + ".arrivals", rep.arrivals);
-        w.field(prefix + ".answered", rep.answered);
-        w.field(prefix + ".shed", rep.shed);
-        w.field(prefix + ".flushes", rep.flushes);
-        w.field(prefix + ".deadline_misses", rep.deadline_misses);
-        w.field(prefix + ".max_queue_depth", rep.max_queue_depth);
-        w.field(prefix + ".accessed_bytes", rep.accessed_bytes);
-        w.field(prefix + ".replica_attempts", rep.replica.attempts);
-        w.field(prefix + ".replica_straggles", rep.replica.straggles);
-        w.field(prefix + ".replica_failovers", rep.replica.failovers);
-        w.field(prefix + ".hedge_issued", rep.replica.hedge_issued);
-        w.field(prefix + ".hedge_won", rep.replica.hedge_won);
-        w.field(prefix + ".hedge_wasted", rep.replica.hedge_wasted);
-        w.field(prefix + ".p50_latency_us", rep.p50_us());
-        w.field(prefix + ".p99_latency_us", rep.p99_us());
-        w.field(prefix + ".throughput_qps", rep.throughput_qps());
-        if (!hedged) {
+        } else if (variant == "replicated") {
           replicated_p99 = static_cast<double>(rep.p99_us());
-        } else if (replicated_p99 > 0.0) {
+        } else if (variant == "replicated_hedged" && replicated_p99 > 0.0) {
           // The hedging gate metric: < 1.0 means tail hedging beat the
           // unhedged replica set on p99 under the same straggler profile.
+          // List replicated before replicated_hedged to get it.
           w.field(prefix + ".p99_latency_vs_unhedged_ratio",
                   static_cast<double>(rep.p99_us()) / replicated_p99);
         }
@@ -982,16 +947,305 @@ int cmd_bench(const Args& args) {
 }
 
 // ---------------------------------------------------------------------------
-// faultcamp — the seeded fault-injection campaign (ISSUE 4's acceptance
-// sweep, also run as the tier-2 ctest target and the CI fault-campaign job).
+// Fault campaigns — faultcamp and chaoscamp (also the tier-2 ctest targets
+// and the CI fault-campaign / chaos-campaign jobs).
 //
-// One deterministic workload, then `--iterations` single-fault experiments
-// round-robined over every registered site. Each iteration must end in one
-// of two observable outcomes — the fault is *detected* (typed error from a
-// loader, or a non-kOk QueryStatus from the engine) or *masked* (results
-// bit-identical to the brute-force ground truth) — and never a crash, hang,
-// or silently wrong answer. Any other outcome throws InternalError (exit 4).
+// Both run seeded fault experiments over one deterministic workload and hold
+// every iteration to one oracle: each answer is bit-exact against the
+// brute-force truth or carries a non-kOk flag, and each fired fault is either
+// *detected* (typed error from a loader, or a flagged answer) or *masked*
+// (exact and unflagged) — never a crash, hang, or silently wrong answer. Any
+// other outcome throws InternalError (exit 4). faultcamp arms one site per
+// iteration, round-robin over the registry, and serves through the site's
+// own harness; chaoscamp arms 2-3 sites at once and serves through the
+// replicated hedged front-end.
+//
+// A new fault site gets its trigger row in campaign_spec and its route in
+// kSiteRoutes; both campaigns pick it up from there.
 // ---------------------------------------------------------------------------
+
+constexpr std::size_t kCampaignK = 8;
+constexpr std::size_t kCampaignQueries = 12;
+
+/// The algorithms the campaigns rotate through, one per iteration.
+constexpr engine::Algorithm kCampaignAlgos[] = {
+    engine::Algorithm::kPsb, engine::Algorithm::kBestFirst,
+    engine::Algorithm::kBranchAndBound, engine::Algorithm::kStacklessRestart,
+    engine::Algorithm::kStacklessSkip, engine::Algorithm::kImplicitStackless};
+constexpr std::size_t kNumCampaignAlgos = std::size(kCampaignAlgos);
+
+knn::GpuKnnOptions campaign_gpu() {
+  knn::GpuKnnOptions gpu;
+  gpu.k = kCampaignK;
+  return gpu;
+}
+
+PointSet campaign_points(std::uint64_t seed) {
+  data::ClusteredSpec spec;
+  spec.dims = 8;
+  spec.num_clusters = 20;
+  spec.points_per_cluster = 100;
+  spec.stddev = 160.0;
+  spec.seed = seed;
+  return data::make_clustered(spec);
+}
+
+/// The deterministic workload both campaigns judge against, built once: a
+/// clustered 2,000-point dataset, 12 queries, a kmeans tree, the brute-force
+/// truth, the dataset and index on disk for the io.envelope.* sites (removed
+/// again on destruction), and the queries replayed as an arrival stream at a
+/// fixed 200 us cadence.
+struct CampaignWorkload {
+  CampaignWorkload(std::uint64_t seed, const std::string& workdir, const std::string& name)
+      : points(campaign_points(seed)),
+        queries(data::sample_queries(points, kCampaignQueries, 0.0, seed + 1)),
+        built(sstree::build_kmeans(points, 32)),
+        truth(knn::brute_force_batch(points, queries, campaign_gpu())),
+        data_path(workdir + "/" + name + "_data.psb"),
+        index_path(workdir + "/" + name + "_index.psbt") {
+    data::write_binary(points, data_path);
+    sstree::write_index(built.tree, index_path);
+    stream.queries = queries;
+    for (std::size_t i = 0; i < queries.size(); ++i) stream.time_us.push_back(i * 200);
+  }
+  ~CampaignWorkload() {
+    std::remove(data_path.c_str());
+    std::remove(index_path.c_str());
+  }
+  CampaignWorkload(const CampaignWorkload&) = delete;
+  CampaignWorkload& operator=(const CampaignWorkload&) = delete;
+
+  PointSet points;
+  PointSet queries;
+  sstree::BuildOutput built;
+  knn::BatchResult truth;
+  std::string data_path;
+  std::string index_path;
+  serve::ArrivalStream stream;
+};
+
+/// Every campaign engine serves the snapshot arena with one worker, so a
+/// seed fixes which query each trigger lands on.
+engine::BatchEngineOptions campaign_engine(engine::Algorithm algo) {
+  engine::BatchEngineOptions eo;
+  eo.algorithm = algo;
+  eo.gpu = campaign_gpu();
+  eo.layout = engine::NodeLayout::kSnapshot;
+  eo.num_threads = 1;
+  return eo;
+}
+
+shard::ShardedEngineOptions campaign_sharded(engine::Algorithm algo) {
+  shard::ShardedEngineOptions sopts;
+  sopts.num_shards = 4;
+  sopts.degree = 32;
+  sopts.engine = campaign_engine(algo);
+  return sopts;
+}
+
+/// A kNN-join of the workload queries against the tree answers the same
+/// question as a batch run, so the brute-force truth carries over; the 12
+/// targets pack into a single cohort.
+join::JoinOptions campaign_join(engine::Algorithm algo) {
+  join::JoinOptions jo;
+  jo.k = kCampaignK;
+  jo.engine = campaign_engine(algo);
+  return jo;
+}
+
+/// The buffered front-end the campaign stream replays through: capacity-4
+/// cohorts, a far-away deadline and no admission bound, so every arrival is
+/// admitted and answered and the answers stay comparable with the truth.
+serve::StreamingOptions campaign_stream(engine::Algorithm algo) {
+  serve::StreamingOptions so;
+  so.engine = campaign_engine(algo);
+  so.mode = serve::DispatchMode::kBuffered;
+  so.buffer_capacity = 4;
+  so.engine.warp_queries = so.buffer_capacity;
+  so.deadline_us = 1'000'000'000;
+  so.admission_queue_bound = 0;
+  so.cell_bits = 2;
+  return so;
+}
+
+/// The engine in `slot`, built from `ctor_args` on first use and reused
+/// after.
+template <typename Engine, typename... CtorArgs>
+Engine& pooled(std::unique_ptr<Engine>& slot, CtorArgs&&... ctor_args) {
+  if (slot == nullptr) slot = std::make_unique<Engine>(std::forward<CtorArgs>(ctor_args)...);
+  return *slot;
+}
+
+/// Where a campaign serves the workload while a site is armed.
+enum class Harness : std::uint8_t {
+  kLoader,      // reload the on-disk artifacts; no query is served
+  kBatch,       // BatchEngine over the snapshot arena
+  kImplicit,    // BatchEngine over the implicit arena
+  kSharded,     // 4-shard ShardedEngine
+  kJoin,        // JoinEngine kNN-join
+  kStream,      // buffered StreamingEngine
+  kReplicated,  // buffered StreamingEngine behind R = 3 replicas per group
+};
+
+constexpr std::uint8_t on(Harness h) {
+  return static_cast<std::uint8_t>(1u << static_cast<unsigned>(h));
+}
+
+/// The harnesses chaoscamp serves through: replicated by default, the
+/// implicit, sharded and join backends when their own site is the primary.
+constexpr std::uint8_t kAnyChaosHarness = on(Harness::kReplicated) | on(Harness::kImplicit) |
+                                          on(Harness::kSharded) | on(Harness::kJoin);
+
+/// One site's route: the harness that serves it (faultcamp's harness for
+/// it, chaoscamp's when it is the primary) and the chaoscamp harnesses where
+/// it may ride along as a partner. A partner must be able to fire there, and
+/// the sharded harness takes no in-place arena corruption: its backends
+/// persist across iterations, so a corrupted shard arena would leak into
+/// later ones.
+struct SiteRoute {
+  std::string_view site;
+  Harness harness;
+  std::uint8_t partners_on;
+};
+
+constexpr SiteRoute kSiteRoutes[] = {
+    {fault::kSiteEnvelopeTruncate, Harness::kLoader, kAnyChaosHarness},
+    {fault::kSiteEnvelopeByteflip, Harness::kLoader, kAnyChaosHarness},
+    {fault::kSiteNodeBoundsBitflip, Harness::kBatch, kAnyChaosHarness},
+    {fault::kSiteQueryBudget, Harness::kBatch, kAnyChaosHarness},
+    {fault::kSiteSnapshotSegment, Harness::kBatch,
+     on(Harness::kReplicated) | on(Harness::kJoin)},
+    {fault::kSiteWorkerSlice, Harness::kBatch, kAnyChaosHarness & ~on(Harness::kSharded)},
+    {fault::kSiteExecResume, Harness::kBatch, kAnyChaosHarness & ~on(Harness::kSharded)},
+    {fault::kSiteImplicitEscape, Harness::kImplicit, on(Harness::kImplicit)},
+    {fault::kSiteShardSlice, Harness::kSharded, on(Harness::kSharded)},
+    {fault::kSiteJoinPair, Harness::kJoin, on(Harness::kJoin)},
+    {fault::kSiteStreamFlush, Harness::kStream, kAnyChaosHarness & ~on(Harness::kJoin)},
+    {fault::kSiteReplicaCrash, Harness::kReplicated,
+     kAnyChaosHarness & ~on(Harness::kJoin)},
+    {fault::kSiteReplicaStraggle, Harness::kReplicated,
+     kAnyChaosHarness & ~on(Harness::kJoin)},
+    {fault::kSiteReplicaCorruptReply, Harness::kReplicated,
+     kAnyChaosHarness & ~on(Harness::kJoin)},
+};
+
+const SiteRoute& route_of(std::string_view site) {
+  for (const SiteRoute& r : kSiteRoutes) {
+    if (r.site == site) return r;
+  }
+  throw InternalError("no campaign route for fault site " + std::string(site));
+}
+
+std::size_t site_index(std::string_view site) {
+  const std::span<const fault::SiteInfo> sites = fault::sites();
+  for (std::size_t i = 0; i < sites.size(); ++i) {
+    if (sites[i].name == site) return i;
+  }
+  throw InternalError("unregistered fault site " + std::string(site));
+}
+
+/// The trigger rows whose evaluation cadence differs between the campaigns.
+struct CadenceOverrides {
+  /// engine.query_budget / engine.worker_slice pick their query / cohort by
+  /// iteration (true) or by the Spec seed (false).
+  bool pick_by_iteration;
+  /// engine.shard.slice fires within this many slice evaluations.
+  std::uint64_t shard_slices;
+};
+
+/// The per-site trigger table: on which evaluation of its site a Spec fires,
+/// spread over the site's evaluation cadence on the 12-query workload, and
+/// for how many. The count parity flips every full rotation of the registry,
+/// alternating recoverable one-shot faults with bursts that force the next
+/// rung of the ladder.
+fault::Spec campaign_spec(std::string_view site, std::uint64_t seed, std::size_t iter,
+                          const CadenceOverrides& cadence) {
+  fault::Spec s;
+  s.site = std::string(site);
+  s.seed = seed;
+  const std::uint64_t parity = (iter / fault::sites().size()) % 2;
+  const std::uint64_t pick = cadence.pick_by_iteration ? iter : seed;
+  if (site == fault::kSiteEnvelopeTruncate || site == fault::kSiteEnvelopeByteflip) {
+    s.trigger = iter % 2;  // one evaluation per file read; a reload reads two
+  } else if (site == fault::kSiteNodeBoundsBitflip) {
+    s.trigger = seed % 100;  // somewhere inside the batch's fetch stream
+  } else if (site == fault::kSiteQueryBudget) {
+    s.trigger = pick % kCampaignQueries;
+  } else if (site == fault::kSiteWorkerSlice) {
+    s.trigger = pick % 3;
+  } else if (site == fault::kSiteShardSlice) {
+    // One-shot deaths (the rerun masks them) alternate with double deaths
+    // (the rerun dies too, forcing the flagged brute-force fallback).
+    s.trigger = seed % cadence.shard_slices;
+    s.count = 1 + parity;
+  } else if (site == fault::kSiteStreamFlush) {
+    // One evaluation per flush attempt; the 12-query capacity-4 stream
+    // issues a handful of flushes. A second death fails the retry and forces
+    // the flagged brute-force cohort answer.
+    s.trigger = seed % 6;
+    s.count = 1 + parity;
+  } else if (site == fault::kSiteExecResume) {
+    // One evaluation per executor resume step: at least 12 for the
+    // single-step loop adapters (one per query), hundreds for the stackless
+    // walkers. A second death kills the fresh-executor rerun too.
+    s.trigger = seed % 12;
+    s.count = 1 + parity;
+  } else if (site == fault::kSiteReplicaCrash || site == fault::kSiteReplicaCorruptReply) {
+    // One evaluation per replica dispatch attempt. One-shot faults (the
+    // sibling failover masks them) alternate with count-8 bursts that
+    // exhaust the 4-attempt dispatch and force the flagged brute-force rung.
+    s.trigger = seed % 4;
+    s.count = parity == 0 ? 1 : 8;
+  } else if (site == fault::kSiteReplicaStraggle) {
+    // A straggler inflates its service time but, with no per-attempt timeout
+    // and a far-away deadline, still completes exactly: always masked.
+    s.trigger = seed % 4;
+  } else if (site == fault::kSiteJoinPair) {
+    // One evaluation per target cohort and the 12 targets pack one, so
+    // trigger 0 always lands; a second death kills the single-tree rerun.
+    s.trigger = 0;
+    s.count = 1 + parity;
+  } else {
+    s.trigger = 0;  // snapshot.segment / implicit.escape: one per-batch evaluation
+  }
+  return s;
+}
+
+/// A campaign report with an empty per-site table in registry order.
+fault::CampaignSummary new_summary(std::string schema, std::size_t iterations,
+                                   std::uint64_t seed) {
+  fault::CampaignSummary summary;
+  summary.schema = std::move(schema);
+  summary.iterations = iterations;
+  summary.seed = seed;
+  for (const fault::SiteInfo& si : fault::sites()) summary.sites.emplace_back().site = si.name;
+  return summary;
+}
+
+/// Reload the on-disk artifacts under the armed plan: a typed CorruptInput
+/// if and only if an io.envelope.* site fired.
+void check_reload(const CampaignWorkload& w, const fault::InjectionScope& scope,
+                  const std::string& context) {
+  bool caught = false;
+  try {
+    const PointSet loaded = data::read_binary(w.data_path);
+    const sstree::SSTree reloaded = sstree::read_index(&loaded, w.index_path);
+    PSB_ASSERT(reloaded.num_nodes() == w.built.tree.num_nodes(),
+               context + ": clean reload diverged");
+  } catch (const CorruptInput&) {
+    caught = true;
+  }
+  std::uint64_t io_fired = 0;
+  for (const SiteRoute& r : kSiteRoutes) {
+    if (r.harness == Harness::kLoader) io_fired += scope.fired(r.site);
+  }
+  if (io_fired > 0 && !caught) {
+    throw InternalError(context + ": corruption fired but the loader accepted the file");
+  }
+  if (io_fired == 0 && caught) {
+    throw InternalError(context + ": loader rejected an uncorrupted file");
+  }
+}
 
 /// A served campaign stream's per-arrival answers (arrival order == workload
 /// query order) as a BatchResult for the oracle below. The campaign streams
@@ -1028,495 +1282,177 @@ void check_exact_or_flagged(const knn::BatchResult& got, const knn::BatchResult&
   }
 }
 
-int cmd_faultcamp(const Args& args) {
-  const std::size_t iterations = args.num("iterations", 1000);
-  const std::uint64_t base_seed = args.num("seed", 2016);
-  const std::string out = args.str("out", "-");
-  const std::string workdir = args.str("workdir", ".");
-
-  // Deterministic workload, built once: a clustered dataset, a kmeans tree,
-  // and the brute-force ground truth every iteration is judged against.
-  data::ClusteredSpec spec;
-  spec.dims = 8;
-  spec.num_clusters = 20;
-  spec.points_per_cluster = 100;
-  spec.stddev = 160.0;
-  spec.seed = base_seed;
-  const PointSet points = data::make_clustered(spec);
-  const PointSet queries = data::sample_queries(points, 12, 0.0, base_seed + 1);
-  sstree::KMeansBuildOptions build_opts;
-  const sstree::BuildOutput built = sstree::build_kmeans(points, 32, build_opts);
-
-  knn::GpuKnnOptions gpu;
-  gpu.k = 8;
-  const knn::BatchResult truth = knn::brute_force_batch(points, queries, gpu);
-
-  // On-disk artifacts for the io.envelope.* sites.
-  const std::string data_path = workdir + "/faultcamp_data.psb";
-  const std::string index_path = workdir + "/faultcamp_index.psbt";
-  data::write_binary(points, data_path);
-  sstree::write_index(built.tree, index_path);
-
-  const engine::Algorithm algos[] = {
-      engine::Algorithm::kPsb, engine::Algorithm::kBestFirst,
-      engine::Algorithm::kBranchAndBound, engine::Algorithm::kStacklessRestart,
-      engine::Algorithm::kStacklessSkip, engine::Algorithm::kImplicitStackless};
-  constexpr std::size_t kNumAlgos = sizeof(algos) / sizeof(algos[0]);
-
-  // Sharded engines for the engine.shard.slice site, one per algorithm,
-  // built lazily on the first iteration that lands on the site. Single
-  // threaded so the slice site's evaluation order (pass, then rerun check)
-  // is deterministic for the Spec's trigger/count arithmetic.
-  std::unique_ptr<shard::ShardedEngine> sharded[kNumAlgos];
-  const auto sharded_for = [&](std::size_t algo_idx) -> shard::ShardedEngine& {
-    if (sharded[algo_idx] == nullptr) {
-      shard::ShardedEngineOptions sopts;
-      sopts.num_shards = 4;
-      sopts.degree = 32;
-      sopts.engine.algorithm = algos[algo_idx];
-      sopts.engine.gpu = gpu;
-      sopts.engine.layout = engine::NodeLayout::kSnapshot;
-      sopts.engine.num_threads = 1;
-      sharded[algo_idx] = std::make_unique<shard::ShardedEngine>(points, sopts);
-    }
-    return *sharded[algo_idx];
-  };
-
-  // Join engines for the engine.join.pair site, one per algorithm, lazy like
-  // the sharded pool. A kNN-join of the 12 workload queries against the tree
-  // answers the same question as the batch runs, so the brute-force ground
-  // truth carries over unchanged; the 12 targets pack into a single cohort,
-  // so the site sees exactly one evaluation per iteration.
-  std::unique_ptr<join::JoinEngine> joins[kNumAlgos];
-  const auto join_for = [&](std::size_t algo_idx) -> join::JoinEngine& {
-    if (joins[algo_idx] == nullptr) {
-      join::JoinOptions jo;
-      jo.k = gpu.k;
-      jo.engine.algorithm = algos[algo_idx];
-      jo.engine.gpu = gpu;
-      jo.engine.layout = engine::NodeLayout::kSnapshot;
-      jo.engine.num_threads = 1;
-      joins[algo_idx] = std::make_unique<join::JoinEngine>(built.tree, jo);
-    }
-    return *joins[algo_idx];
-  };
-
-  // Streaming engines for the engine.stream.flush site, one per algorithm,
-  // lazy like the sharded pool. The campaign stream replays the 12 workload
-  // queries at a fixed 200 us cadence with a far-away deadline and no
-  // admission bound, so every arrival is admitted and answered — the oracle
-  // below can then hold the streamed answers to the exact-or-flagged bar.
-  serve::ArrivalStream campaign_stream;
-  campaign_stream.queries = queries;
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    campaign_stream.time_us.push_back(i * 200);
-  }
-  std::unique_ptr<serve::StreamingEngine> streamers[kNumAlgos];
-  const auto streamer_for = [&](std::size_t algo_idx) -> serve::StreamingEngine& {
-    if (streamers[algo_idx] == nullptr) {
-      serve::StreamingOptions so;
-      so.engine.algorithm = algos[algo_idx];
-      so.engine.gpu = gpu;
-      so.engine.layout = engine::NodeLayout::kSnapshot;
-      so.engine.num_threads = 1;
-      so.mode = serve::DispatchMode::kBuffered;
-      so.buffer_capacity = 4;
-      so.engine.warp_queries = so.buffer_capacity;
-      so.deadline_us = 1'000'000'000;  // no deadline cuts: answers stay comparable
-      so.admission_queue_bound = 0;    // no sheds: every query must be answered
-      so.cell_bits = 2;
-      streamers[algo_idx] = std::make_unique<serve::StreamingEngine>(built.tree, so);
-    }
-    return *streamers[algo_idx];
-  };
-
-  const std::span<const fault::SiteInfo> sites = fault::sites();
-  std::vector<fault::SiteTally> tally(sites.size());
-  for (std::size_t i = 0; i < sites.size(); ++i) tally[i].site = std::string(sites[i].name);
-
-  for (std::size_t iter = 0; iter < iterations; ++iter) {
-    const std::size_t site_idx = iter % sites.size();
-    const std::string_view site = sites[site_idx].name;
-    const bool io_site = site == fault::kSiteEnvelopeTruncate ||
-                         site == fault::kSiteEnvelopeByteflip;
-
-    fault::Spec fspec;
-    fspec.site = std::string(site);
-    fspec.seed = fault::mix(base_seed ^ (iter * 2654435761u));
-    // Triggers are spread over each site's evaluation cadence: io sites see
-    // one evaluation per file read (2 reads below), the node-bitflip site
-    // fires somewhere inside the batch's fetch stream, the budget site picks
-    // a query, the worker site a cohort, the snapshot site its single
-    // per-batch evaluation.
-    if (site == fault::kSiteEnvelopeTruncate || site == fault::kSiteEnvelopeByteflip) {
-      fspec.trigger = iter % 2;
-    } else if (site == fault::kSiteNodeBoundsBitflip) {
-      fspec.trigger = fspec.seed % 100;
-    } else if (site == fault::kSiteQueryBudget) {
-      fspec.trigger = iter % queries.size();
-    } else if (site == fault::kSiteWorkerSlice) {
-      fspec.trigger = iter % 3;
-    } else if (site == fault::kSiteShardSlice) {
-      // ~48 slice evaluations per batch (12 queries x 4 shards); alternate
-      // one-shot deaths (the rerun masks them) with double deaths (the rerun
-      // dies too, forcing the flagged brute-force fallback).
-      fspec.trigger = fspec.seed % 40;
-      fspec.count = 1 + (iter / sites.size()) % 2;
-    } else if (site == fault::kSiteStreamFlush) {
-      // One evaluation per flush attempt; the 12-query capacity-4 stream
-      // issues a handful of flushes. Alternate one-shot dispatch deaths (the
-      // retry masks them) with double deaths (retry dies too, forcing the
-      // flagged brute-force cohort answer).
-      fspec.trigger = fspec.seed % 6;
-      fspec.count = 1 + (iter / sites.size()) % 2;
-    } else if (site == fault::kSiteExecResume) {
-      // One evaluation per executor resume step: at least 12 for the
-      // single-step loop adapters (one per query), hundreds for the stackless
-      // walkers. Alternate one-shot resume deaths (a fresh-executor rerun
-      // masks them) with double deaths (the rerun's first resume dies too,
-      // forcing the flagged brute-force fallback).
-      fspec.trigger = fspec.seed % 12;
-      fspec.count = 1 + (iter / sites.size()) % 2;
-    } else if (site == fault::kSiteReplicaCrash || site == fault::kSiteReplicaCorruptReply) {
-      // One evaluation per replica dispatch attempt (~3 flushes for the
-      // capacity-4 stream, more with failover retries). Alternate one-shot
-      // faults (the sibling failover masks them) with count-8 bursts that
-      // exhaust the 4-attempt dispatch and force the flagged brute-force
-      // rung of the ladder.
-      fspec.trigger = fspec.seed % 4;
-      fspec.count = (iter / sites.size()) % 2 == 0 ? 1 : 8;
-    } else if (site == fault::kSiteJoinPair) {
-      // One evaluation per target-leaf cohort; the 12-target kNN-join packs
-      // a single cohort, so trigger 0 always lands. Alternate one-shot pair
-      // deaths (the single-tree rerun masks them) with double deaths (the
-      // rerun leg dies too, forcing the flagged brute-force join).
-      fspec.trigger = 0;
-      fspec.count = 1 + (iter / sites.size()) % 2;
-    } else if (site == fault::kSiteReplicaStraggle) {
-      // A straggling replica inflates its service time but — with no
-      // per-attempt timeout and a far-away deadline — still completes
-      // exactly: always masked, counted in replica.straggles.
-      fspec.trigger = fspec.seed % 4;
+/// Attribute one iteration's fired faults: an io.envelope.* fire was
+/// detected by the loader's typed error (check_reload); any other fire was
+/// detected if the served answers carry a flag and masked if they are exact
+/// and unflagged. Under simultaneous faults the flags cannot be split per
+/// site, so attribution is iteration-granular; the exact-or-flagged oracle
+/// is per answer regardless.
+void attribute(fault::CampaignSummary& summary, std::span<const std::string_view> armed,
+               const fault::InjectionScope& scope, bool flagged, const std::string& context) {
+  for (const std::string_view s : armed) {
+    if (scope.fired(s) == 0) continue;
+    fault::SiteTally& t = summary.sites[site_index(s)];
+    ++t.fired;
+    if (route_of(s).harness == Harness::kLoader) {
+      ++t.detected;
+    } else if (flagged) {
+      ++t.detected;
+      ++t.flagged;
     } else {
-      fspec.trigger = 0;
-    }
-
-    fault::SiteTally& t = tally[site_idx];
-    ++t.iterations;
-    const std::string context =
-        "faultcamp iter " + std::to_string(iter) + " site " + std::string(site);
-
-    fault::InjectionScope scope(fspec);
-    if (io_site) {
-      // Loader hardening: a corrupted file image must yield a typed
-      // CorruptIndex, never a crash or a silently parsed dataset/index.
-      bool caught = false;
-      try {
-        const PointSet loaded = data::read_binary(data_path);
-        const sstree::SSTree reloaded = sstree::read_index(&loaded, index_path);
-        PSB_ASSERT(reloaded.num_nodes() == built.tree.num_nodes(),
-                   context + ": clean reload diverged");
-      } catch (const CorruptInput&) {
-        caught = true;
-      }
-      if (scope.fired(site) > 0) {
-        ++t.fired;
-        if (!caught) {
-          throw InternalError(context + ": corruption fired but the loader accepted the file");
-        }
-        ++t.detected;
-      } else if (caught) {
-        throw InternalError(context + ": loader rejected an uncorrupted file");
-      }
-      continue;
-    }
-
-    // Engine hardening: run a batch with the fault armed. run() must return
-    // a complete result; every unflagged query must match the ground truth.
-    // The shard-slice site only exists on the scatter-gather path, so its
-    // iterations route through the ShardedEngine.
-    const std::size_t algo_idx = iter % kNumAlgos;
-    knn::BatchResult got;
-    if (site == fault::kSiteShardSlice) {
-      got = sharded_for(algo_idx).run(queries);
-    } else if (site == fault::kSiteReplicaCrash || site == fault::kSiteReplicaStraggle ||
-               site == fault::kSiteReplicaCorruptReply) {
-      // The replica sites only exist on the replicated router. Serve the
-      // campaign stream through a fresh R=3 replica set each iteration so
-      // crash/eviction windows from one iteration can't leak into the next
-      // (the router's health state is engine-lifetime by design).
-      serve::StreamingOptions so;
-      so.engine.algorithm = algos[algo_idx];
-      so.engine.gpu = gpu;
-      so.engine.layout = engine::NodeLayout::kSnapshot;
-      so.engine.num_threads = 1;
-      so.mode = serve::DispatchMode::kBuffered;
-      so.buffer_capacity = 4;
-      so.engine.warp_queries = so.buffer_capacity;
-      so.deadline_us = 1'000'000'000;
-      so.admission_queue_bound = 0;
-      so.cell_bits = 2;
-      so.replica.replicas = 3;
-      so.replica.groups = 2;
-      so.replica.health_seed = base_seed + 7;
-      serve::StreamingEngine seng(built.tree, so);
-      got = stream_answers(seng.run(campaign_stream), context);
-    } else if (site == fault::kSiteJoinPair) {
-      // The pair site only exists on the dual-tree join engine; a kNN-join
-      // of the workload queries returns each query's k nearest dataset
-      // points, so the answers face the same ground truth as the batch runs.
-      got = join_for(algo_idx).knn_join(queries);
-    } else if (site == fault::kSiteStreamFlush) {
-      // The flush site only exists on the streaming front-end; replay the
-      // fixed-cadence stream and hold the per-arrival answers (arrival order
-      // == workload query order) to the same exact-or-flagged oracle.
-      got = stream_answers(streamer_for(algo_idx).run(campaign_stream), context);
-    } else {
-      engine::BatchEngineOptions eo;
-      eo.algorithm = algos[algo_idx];
-      eo.gpu = gpu;
-      eo.layout = engine::NodeLayout::kSnapshot;
-      // The escape-bitflip site only exists on an engine-owned implicit
-      // arena, so its iterations serve through the pointer-free layout
-      // whatever the algorithm (per-segment CRC catches the flip and the
-      // engine degrades to the pointer path — counted, never silent).
-      if (site == fault::kSiteImplicitEscape) eo.layout = engine::NodeLayout::kImplicit;
-      eo.warp_queries = 4;
-      // One worker, like every other campaign engine, so each trigger lands
-      // on the same query every run; engine.worker_slice still fires (the
-      // worker abandons its slice and the merge thread reruns the units).
-      eo.num_threads = 1;
-      const engine::BatchEngine eng(built.tree, eo);
-      got = eng.run(queries);
-    }
-    check_exact_or_flagged(got, truth, context);
-    if (scope.fired(site) > 0) {
-      ++t.fired;
-      if (!got.all_ok()) {
-        // Engine-side detections always surface as a non-kOk QueryStatus on
-        // some answer, so they are flagged as well as detected (the io sites
-        // above detect via a typed error instead — detected, flagged 0).
-        ++t.detected;
-        ++t.flagged;
-      } else {
-        // Exact and unflagged: the fault was absorbed invisibly (e.g. the
-        // snapshot fell back to the pointer path before any query started).
-        ++t.masked;
-      }
+      ++t.masked;
       // A corrupted node fetch is always caught by the integrity word, so a
-      // fired bitflip must surface as a degraded (but exact) status.
-      if (site == fault::kSiteNodeBoundsBitflip && got.all_ok()) {
+      // fired bit flip must surface as a degraded (but exact) status.
+      if (s == fault::kSiteNodeBoundsBitflip) {
         throw InternalError(context + ": bit flip fired without a degraded status");
       }
     }
   }
+}
 
-  std::remove(data_path.c_str());
-  std::remove(index_path.c_str());
-
+/// The closing checks and output of both campaigns: every site rotated in
+/// (and, over 20 full rotations, fired), every fired fault was detected or
+/// masked, the JSON report is written and the totals printed. `detail`
+/// follows the iteration count on the summary line.
+int finish_campaign(const std::string& name, const fault::CampaignSummary& summary,
+                    const std::string& out, const std::string& detail) {
   std::uint64_t total_fired = 0;
   std::uint64_t total_detected = 0;
   std::uint64_t total_masked = 0;
-  for (const fault::SiteTally& t : tally) {
+  for (const fault::SiteTally& t : summary.sites) {
+    if (summary.iterations >= summary.sites.size()) {
+      PSB_ASSERT(t.iterations > 0, name + ": site " + t.site + " never entered the rotation");
+    }
+    if (summary.iterations >= summary.sites.size() * 20) {
+      PSB_ASSERT(t.fired > 0, name + ": site " + t.site + " never fired over a full campaign");
+    }
     total_fired += t.fired;
     total_detected += t.detected;
     total_masked += t.masked;
   }
-  fault::CampaignSummary summary;
-  summary.schema = "psb.faultcamp.v2";
-  summary.iterations = iterations;
-  summary.seed = base_seed;
-  summary.sites = tally;
   const std::string json = fault::campaign_report_json(summary);
   if (out != "-") {
     obs::write_text_file(out, json);
-    std::cout << "faultcamp report written: " << out << "\n";
+    std::cout << name << " report written: " << out << "\n";
   }
-  std::cout << "faultcamp: " << iterations << " iterations, " << total_fired << " faults fired, "
-            << total_detected << " detected, " << total_masked
-            << " masked by exact fallback, 0 crashes\n";
-  PSB_ASSERT(total_fired + total_detected + total_masked > 0, "campaign armed no faults");
+  std::cout << name << ": " << summary.iterations << " iterations" << detail << ", "
+            << total_fired << " faults fired, " << total_detected << " detected, "
+            << total_masked << " masked by exact fallback, 0 crashes\n";
+  PSB_ASSERT(total_fired > 0, "campaign armed no faults");
   PSB_ASSERT(total_detected + total_masked == total_fired,
              "some fired fault was neither detected nor masked");
   return 0;
 }
 
-// ---------------------------------------------------------------------------
-// chaoscamp — the multi-fault chaos campaign (ISSUE 9's acceptance sweep,
-// also run as the tier-2 ctest target and the CI chaos-campaign job).
-//
-// Where faultcamp arms exactly one site per iteration, chaoscamp arms 2-3
-// simultaneous sites — a primary (round-robined over the registry so all 14
-// sites rotate) plus 1-2 seeded partners drawn from the sites that can fire
-// in the primary's harness. Every iteration runs the full serving ladder
-// under the combined plan: a loader reload (phase A, where the io.envelope.*
-// sites strike) and a replicated hedged streaming serve (phase B, R = 3
-// replicas per group over the usual engine sites plus the replica.* sites).
-// The oracle is unchanged from faultcamp: every answer must be bit-exact
-// against the brute-force truth or carry a non-kOk flag — faults may
-// compound, but they may never produce a silently wrong answer.
-// ---------------------------------------------------------------------------
+// faultcamp — single-fault campaign: `--iterations` experiments round-robin
+// over every registered site, each served through the site's own harness.
+int cmd_faultcamp(const Args& args) {
+  const std::size_t iterations = args.num("iterations", 1000);
+  const std::uint64_t base_seed = args.num("seed", 2016);
+  const std::string out = args.str("out", "-");
+  const CampaignWorkload w(base_seed, args.str("workdir", "."), "faultcamp");
+  // Every iteration serves one full batch: the budget and worker sites step
+  // through the queries and cohorts by iteration, and the shard slice site
+  // sees ~48 evaluations (12 queries x 4 shards).
+  constexpr CadenceOverrides kCadence{.pick_by_iteration = true, .shard_slices = 40};
 
+  // The sharded, join and streaming engines are built once per algorithm:
+  // their sites kill passes, pair walks and flushes without corrupting
+  // state. The batch engine is fresh every iteration (its arena sites corrupt
+  // the engine-owned arena in place), and so is the replicated front-end (a
+  // router's crash/eviction windows are engine-lifetime by design).
+  std::unique_ptr<shard::ShardedEngine> sharded[kNumCampaignAlgos];
+  std::unique_ptr<join::JoinEngine> joins[kNumCampaignAlgos];
+  std::unique_ptr<serve::StreamingEngine> streamers[kNumCampaignAlgos];
+
+  fault::CampaignSummary summary = new_summary("psb.faultcamp.v2", iterations, base_seed);
+  const std::span<const fault::SiteInfo> sites = fault::sites();
+  for (std::size_t iter = 0; iter < iterations; ++iter) {
+    const std::string_view site = sites[iter % sites.size()].name;
+    const Harness harness = route_of(site).harness;
+    ++summary.sites[iter % sites.size()].iterations;
+    const std::string context =
+        "faultcamp iter " + std::to_string(iter) + " site " + std::string(site);
+    const fault::InjectionScope scope(
+        campaign_spec(site, fault::mix(base_seed ^ (iter * 2654435761u)), iter, kCadence));
+
+    const std::size_t a = iter % kNumCampaignAlgos;
+    const engine::Algorithm algo = kCampaignAlgos[a];
+    knn::BatchResult got;
+    switch (harness) {
+      case Harness::kLoader:
+        check_reload(w, scope, context);
+        break;
+      case Harness::kBatch:
+      case Harness::kImplicit: {
+        engine::BatchEngineOptions eo = campaign_engine(algo);
+        if (harness == Harness::kImplicit) eo.layout = engine::NodeLayout::kImplicit;
+        eo.warp_queries = 4;
+        got = engine::BatchEngine(w.built.tree, eo).run(w.queries);
+        break;
+      }
+      case Harness::kSharded:
+        got = pooled(sharded[a], w.points, campaign_sharded(algo)).run(w.queries);
+        break;
+      case Harness::kJoin:
+        got = pooled(joins[a], w.built.tree, campaign_join(algo)).knn_join(w.queries);
+        break;
+      case Harness::kStream:
+        got = stream_answers(
+            pooled(streamers[a], w.built.tree, campaign_stream(algo)).run(w.stream), context);
+        break;
+      case Harness::kReplicated: {
+        serve::StreamingOptions so = campaign_stream(algo);
+        so.replica.replicas = 3;
+        so.replica.groups = 2;
+        so.replica.health_seed = base_seed + 7;
+        got = stream_answers(serve::StreamingEngine(w.built.tree, so).run(w.stream), context);
+        break;
+      }
+    }
+    if (harness != Harness::kLoader) check_exact_or_flagged(got, w.truth, context);
+    attribute(summary, {&site, 1}, scope, !got.all_ok(), context);
+  }
+  return finish_campaign("faultcamp", summary, out, "");
+}
+
+// chaoscamp — multi-fault campaign: every iteration arms a primary
+// (round-robin over the registry) plus 1-2 seeded partners drawn from the
+// sites that may ride along on the primary's harness, reloads the on-disk
+// artifacts, then serves through the replicated hedged front-end (R = 3
+// replicas per group) over the primary's backend — or, for the join pair
+// site, through a kNN-join. Faults may compound, but they may never produce
+// a silently wrong answer.
 int cmd_chaoscamp(const Args& args) {
   const std::size_t iterations = args.num("iterations", 650);
   const std::uint64_t base_seed = args.num("seed", 2016);
   const std::string out = args.str("out", "-");
-  const std::string workdir = args.str("workdir", ".");
+  const CampaignWorkload w(base_seed, args.str("workdir", "."), "chaoscamp");
+  // The seed picks the budget query and the worker cohort. The streamed
+  // capacity-4 cohorts see far fewer shard slice evaluations than
+  // faultcamp's full batches (cross-shard bound sharing prunes most shard
+  // visits), so the slice trigger range is tighter.
+  constexpr CadenceOverrides kCadence{.pick_by_iteration = false, .shard_slices = 12};
 
-  // The faultcamp workload: clustered dataset, kmeans tree, brute truth.
-  data::ClusteredSpec spec;
-  spec.dims = 8;
-  spec.num_clusters = 20;
-  spec.points_per_cluster = 100;
-  spec.stddev = 160.0;
-  spec.seed = base_seed;
-  const PointSet points = data::make_clustered(spec);
-  const PointSet queries = data::sample_queries(points, 12, 0.0, base_seed + 1);
-  sstree::KMeansBuildOptions build_opts;
-  const sstree::BuildOutput built = sstree::build_kmeans(points, 32, build_opts);
+  // The sharded backends persist across iterations (kSiteRoutes keeps the
+  // in-place arena corruption sites off them); every other engine is fresh.
+  std::unique_ptr<shard::ShardedEngine> sharded[kNumCampaignAlgos];
 
-  knn::GpuKnnOptions gpu;
-  gpu.k = 8;
-  const knn::BatchResult truth = knn::brute_force_batch(points, queries, gpu);
-
-  const std::string data_path = workdir + "/chaoscamp_data.psb";
-  const std::string index_path = workdir + "/chaoscamp_index.psbt";
-  data::write_binary(points, data_path);
-  sstree::write_index(built.tree, index_path);
-
-  const engine::Algorithm algos[] = {
-      engine::Algorithm::kPsb, engine::Algorithm::kBestFirst,
-      engine::Algorithm::kBranchAndBound, engine::Algorithm::kStacklessRestart,
-      engine::Algorithm::kStacklessSkip, engine::Algorithm::kImplicitStackless};
-  constexpr std::size_t kNumAlgos = sizeof(algos) / sizeof(algos[0]);
-
-  serve::ArrivalStream campaign_stream;
-  campaign_stream.queries = queries;
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    campaign_stream.time_us.push_back(i * 200);
-  }
-
-  // Persistent sharded backends for the shard.slice harness (the slice site
-  // kills passes without corrupting state, so reuse across iterations is
-  // safe — unlike the in-place arena corruption sites, which always get a
-  // fresh engine below).
-  std::unique_ptr<shard::ShardedEngine> sharded[kNumAlgos];
-  const auto sharded_for = [&](std::size_t algo_idx) -> shard::ShardedEngine& {
-    if (sharded[algo_idx] == nullptr) {
-      shard::ShardedEngineOptions sopts;
-      sopts.num_shards = 4;
-      sopts.degree = 32;
-      sopts.engine.algorithm = algos[algo_idx];
-      sopts.engine.gpu = gpu;
-      sopts.engine.layout = engine::NodeLayout::kSnapshot;
-      sopts.engine.num_threads = 1;
-      sharded[algo_idx] = std::make_unique<shard::ShardedEngine>(points, sopts);
-    }
-    return *sharded[algo_idx];
-  };
-
+  fault::CampaignSummary summary = new_summary("psb.chaoscamp.v1", iterations, base_seed);
   const std::span<const fault::SiteInfo> sites = fault::sites();
-  std::vector<fault::SiteTally> tally(sites.size());
-  for (std::size_t i = 0; i < sites.size(); ++i) tally[i].site = std::string(sites[i].name);
-  const auto site_index = [&](std::string_view site) -> std::size_t {
-    for (std::size_t i = 0; i < sites.size(); ++i) {
-      if (sites[i].name == site) return i;
-    }
-    throw InternalError("chaoscamp: unregistered site " + std::string(site));
-  };
-
-  // Per-site Spec factory; the trigger table mirrors faultcamp's per-site
-  // evaluation-cadence math, with the count parity alternating recoverable
-  // single faults and fallback-forcing bursts every full rotation.
-  const auto spec_for = [&](std::string_view site, std::size_t iter) -> fault::Spec {
-    fault::Spec s;
-    s.site = std::string(site);
-    s.seed = fault::mix(base_seed ^ fault::mix((iter + 1) * 2654435761u) ^
-                        fault::mix(site_index(site) + 1));
-    const std::uint64_t parity = (iter / sites.size()) % 2;
-    if (site == fault::kSiteEnvelopeTruncate || site == fault::kSiteEnvelopeByteflip) {
-      s.trigger = iter % 2;
-    } else if (site == fault::kSiteNodeBoundsBitflip) {
-      s.trigger = s.seed % 100;
-    } else if (site == fault::kSiteQueryBudget) {
-      s.trigger = s.seed % queries.size();
-    } else if (site == fault::kSiteWorkerSlice) {
-      s.trigger = s.seed % 3;
-    } else if (site == fault::kSiteShardSlice) {
-      // The streamed capacity-4 cohorts see far fewer slice evaluations than
-      // faultcamp's full-batch runs (cross-shard bound sharing prunes most
-      // shard visits), so the trigger range is tighter here.
-      s.trigger = s.seed % 12;
-      s.count = 1 + parity;
-    } else if (site == fault::kSiteStreamFlush) {
-      s.trigger = s.seed % 6;
-      s.count = 1 + parity;
-    } else if (site == fault::kSiteExecResume) {
-      s.trigger = s.seed % 12;
-      s.count = 1 + parity;
-    } else if (site == fault::kSiteReplicaCrash || site == fault::kSiteReplicaCorruptReply) {
-      s.trigger = s.seed % 4;
-      s.count = parity == 0 ? 1 : 8;  // 8 exhausts the 4-attempt dispatch
-    } else if (site == fault::kSiteReplicaStraggle) {
-      s.trigger = s.seed % 4;
-    } else if (site == fault::kSiteJoinPair) {
-      // Single cohort on the join harness's 12-target kNN-join: trigger 0
-      // always lands; the parity alternates the masked single-tree rerun
-      // with the flagged brute-force rung.
-      s.trigger = 0;
-      s.count = 1 + parity;
-    } else {
-      s.trigger = 0;  // snapshot.segment / implicit.escape: single per-batch eval
-    }
-    return s;
-  };
-
   std::uint64_t combos_two = 0;
   std::uint64_t combos_three = 0;
-
   for (std::size_t iter = 0; iter < iterations; ++iter) {
-    const std::size_t primary_idx = iter % sites.size();
-    const std::string_view primary = sites[primary_idx].name;
-
-    // The primary picks the serving harness; the partner pool is restricted
-    // to sites that can fire there. The sharded harness additionally bars
-    // the in-place arena corruption sites — its backends persist across
-    // iterations, and a corrupted shard arena would leak into later ones.
-    enum class Harness : std::uint8_t { kSnapshot, kImplicit, kSharded, kJoin };
-    Harness harness = Harness::kSnapshot;
-    if (primary == fault::kSiteShardSlice) {
-      harness = Harness::kSharded;
-    } else if (primary == fault::kSiteImplicitEscape) {
-      harness = Harness::kImplicit;
-    } else if (primary == fault::kSiteJoinPair) {
-      harness = Harness::kJoin;
-    }
-    const auto in_pool = [&](std::string_view s) {
-      if (s == primary) return false;
-      // The join pair site only evaluates on the dual-tree join engine, so
-      // it is a valid partner nowhere but its own harness; the join harness
-      // in turn has no streaming front-end, shards or replicas.
-      switch (harness) {
-        case Harness::kSnapshot:
-          return s != fault::kSiteShardSlice && s != fault::kSiteImplicitEscape &&
-                 s != fault::kSiteJoinPair;
-        case Harness::kImplicit:
-          return s != fault::kSiteShardSlice && s != fault::kSiteSnapshotSegment &&
-                 s != fault::kSiteJoinPair;
-        case Harness::kSharded:
-          return s != fault::kSiteSnapshotSegment && s != fault::kSiteImplicitEscape &&
-                 s != fault::kSiteWorkerSlice && s != fault::kSiteExecResume &&
-                 s != fault::kSiteJoinPair;
-        case Harness::kJoin:
-          return s != fault::kSiteShardSlice && s != fault::kSiteImplicitEscape &&
-                 s != fault::kSiteStreamFlush && s != fault::kSiteReplicaCrash &&
-                 s != fault::kSiteReplicaStraggle && s != fault::kSiteReplicaCorruptReply;
-      }
-      return false;
-    };
+    const std::string_view primary = sites[iter % sites.size()].name;
+    // A primary without a backend of its own serves through the replicated
+    // snapshot front-end.
+    Harness harness = route_of(primary).harness;
+    if ((kAnyChaosHarness & on(harness)) == 0) harness = Harness::kReplicated;
     std::vector<std::string_view> pool;
     for (const fault::SiteInfo& si : sites) {
-      if (in_pool(si.name)) pool.push_back(si.name);
+      if (si.name != primary && (route_of(si.name).partners_on & on(harness)) != 0) {
+        pool.push_back(si.name);
+      }
     }
 
     // 1-2 seeded partners drawn without replacement: 2-3 simultaneous sites.
@@ -1529,175 +1465,51 @@ int cmd_chaoscamp(const Args& args) {
       armed.push_back(pool[pick]);
       pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(pick));
     }
-    if (armed.size() == 2) {
-      ++combos_two;
-    } else {
-      ++combos_three;
-    }
+    ++(armed.size() == 2 ? combos_two : combos_three);
 
     std::vector<fault::Spec> specs;
-    specs.reserve(armed.size());
     for (const std::string_view s : armed) {
-      specs.push_back(spec_for(s, iter));
-      ++tally[site_index(s)].iterations;
+      const std::uint64_t seed = fault::mix(base_seed ^ fault::mix((iter + 1) * 2654435761u) ^
+                                            fault::mix(site_index(s) + 1));
+      specs.push_back(campaign_spec(s, seed, iter, kCadence));
+      ++summary.sites[site_index(s)].iterations;
     }
     const std::string context =
         "chaoscamp iter " + std::to_string(iter) + " primary " + std::string(primary);
+    const fault::InjectionScope scope(std::move(specs));
+    check_reload(w, scope, context);
 
-    fault::InjectionScope scope(std::move(specs));
-
-    // Phase A — loader hardening under the combined plan: a reload of the
-    // on-disk artifacts. A fired io corruption must yield a typed
-    // CorruptInput; a clean image must never be rejected.
-    bool caught = false;
-    try {
-      const PointSet loaded = data::read_binary(data_path);
-      const sstree::SSTree reloaded = sstree::read_index(&loaded, index_path);
-      PSB_ASSERT(reloaded.num_nodes() == built.tree.num_nodes(),
-                 context + ": clean reload diverged");
-    } catch (const CorruptInput&) {
-      caught = true;
-    }
-    const std::uint64_t io_fired = scope.fired(fault::kSiteEnvelopeTruncate) +
-                                   scope.fired(fault::kSiteEnvelopeByteflip);
-    if (io_fired > 0 && !caught) {
-      throw InternalError(context + ": corruption fired but the loader accepted the file");
-    }
-    if (io_fired == 0 && caught) {
-      throw InternalError(context + ": loader rejected an uncorrupted file");
-    }
-
-    // Phase B — the replicated hedged serving ladder under the same plan.
-    // Fresh front-end (and, off the sharded harness, fresh backend) per
-    // iteration so crash/eviction windows and in-place arena corruption
-    // cannot leak between iterations.
-    const std::size_t algo_idx = iter % kNumAlgos;
+    const std::size_t a = iter % kNumCampaignAlgos;
+    const engine::Algorithm algo = kCampaignAlgos[a];
+    knn::BatchResult got;
     if (harness == Harness::kJoin) {
-      // The pair site only exists on the dual-tree join engine; serve the
-      // workload queries as a kNN-join against the tree (same answers as
-      // the batch ground truth). Fresh engine per iteration: a partner
-      // fault may corrupt the engine-owned snapshot arena in place.
-      join::JoinOptions jo;
-      jo.k = gpu.k;
-      jo.engine.algorithm = algos[algo_idx];
-      jo.engine.gpu = gpu;
-      jo.engine.layout = engine::NodeLayout::kSnapshot;
-      jo.engine.num_threads = 1;
-      join::JoinEngine jeng(built.tree, jo);
-      knn::BatchResult got = jeng.knn_join(queries);
-      check_exact_or_flagged(got, truth, context);
-      for (const std::string_view s : armed) {
-        if (scope.fired(s) == 0) continue;
-        fault::SiteTally& t = tally[site_index(s)];
-        ++t.fired;
-        if (s == fault::kSiteEnvelopeTruncate || s == fault::kSiteEnvelopeByteflip) {
-          ++t.detected;
-          continue;
-        }
-        if (!got.all_ok()) {
-          ++t.detected;
-          ++t.flagged;
-        } else {
-          ++t.masked;
-        }
-        if (s == fault::kSiteNodeBoundsBitflip && got.all_ok()) {
-          throw InternalError(context + ": bit flip fired without a degraded status");
-        }
-      }
-      continue;
-    }
-    serve::StreamingOptions so;
-    so.engine.algorithm = algos[algo_idx];
-    so.engine.gpu = gpu;
-    so.engine.layout = engine::NodeLayout::kSnapshot;
-    so.engine.num_threads = 1;
-    if (harness == Harness::kImplicit) so.engine.layout = engine::NodeLayout::kImplicit;
-    so.mode = serve::DispatchMode::kBuffered;
-    so.buffer_capacity = 4;
-    so.engine.warp_queries = so.buffer_capacity;
-    so.deadline_us = 1'000'000'000;  // no deadline cuts: answers stay comparable
-    so.admission_queue_bound = 0;    // no sheds: every query must be answered
-    so.cell_bits = 2;
-    so.replica.replicas = 3;
-    so.replica.groups = 2;
-    so.replica.max_attempts = 4;
-    so.replica.restart_us = 2000;  // crashed replicas return within the run
-    so.replica.hedge = true;
-    so.replica.hedge_percentile = 90.0;
-    so.replica.hedge_warmup = 4;
-    so.replica.health_seed = base_seed + 11;
-
-    serve::StreamingReport rep;
-    if (harness == Harness::kSharded) {
-      serve::StreamingEngine seng(sharded_for(algo_idx), points, so);
-      rep = seng.run(campaign_stream);
+      got = join::JoinEngine(w.built.tree, campaign_join(algo)).knn_join(w.queries);
     } else {
-      serve::StreamingEngine seng(built.tree, so);
-      rep = seng.run(campaign_stream);
+      serve::StreamingOptions so = campaign_stream(algo);
+      if (harness == Harness::kImplicit) so.engine.layout = engine::NodeLayout::kImplicit;
+      so.replica.replicas = 3;
+      so.replica.groups = 2;
+      so.replica.max_attempts = 4;
+      so.replica.restart_us = 2000;  // crashed replicas return within the run
+      so.replica.hedge = true;
+      so.replica.hedge_percentile = 90.0;
+      so.replica.hedge_warmup = 4;
+      so.replica.health_seed = base_seed + 11;
+      got = stream_answers(
+          harness == Harness::kSharded
+              ? serve::StreamingEngine(pooled(sharded[a], w.points, campaign_sharded(algo)),
+                                       w.points, so)
+                    .run(w.stream)
+              : serve::StreamingEngine(w.built.tree, so).run(w.stream),
+          context);
     }
-    const knn::BatchResult got = stream_answers(std::move(rep), context);
-    check_exact_or_flagged(got, truth, context);
-
-    // Attribution is iteration-granular: under simultaneous faults the
-    // flagged statuses cannot be split per site, so every fired site of a
-    // flagged iteration counts as detected, every fired site of a clean one
-    // as masked. The exact-or-flagged oracle above is per answer regardless.
-    for (const std::string_view s : armed) {
-      if (scope.fired(s) == 0) continue;
-      fault::SiteTally& t = tally[site_index(s)];
-      ++t.fired;
-      if (s == fault::kSiteEnvelopeTruncate || s == fault::kSiteEnvelopeByteflip) {
-        ++t.detected;  // typed-error detection, asserted above
-        continue;
-      }
-      if (!got.all_ok()) {
-        ++t.detected;
-        ++t.flagged;
-      } else {
-        ++t.masked;
-      }
-      if (s == fault::kSiteNodeBoundsBitflip && got.all_ok()) {
-        throw InternalError(context + ": bit flip fired without a degraded status");
-      }
-    }
+    check_exact_or_flagged(got, w.truth, context);
+    attribute(summary, armed, scope, !got.all_ok(), context);
   }
-
-  std::remove(data_path.c_str());
-  std::remove(index_path.c_str());
-
-  std::uint64_t total_fired = 0;
-  std::uint64_t total_detected = 0;
-  std::uint64_t total_masked = 0;
-  for (const fault::SiteTally& t : tally) {
-    if (iterations >= sites.size()) {
-      PSB_ASSERT(t.iterations > 0, "chaoscamp: site " + t.site + " never entered the rotation");
-    }
-    if (iterations >= sites.size() * 20) {
-      PSB_ASSERT(t.fired > 0, "chaoscamp: site " + t.site + " never fired over a full campaign");
-    }
-    total_fired += t.fired;
-    total_detected += t.detected;
-    total_masked += t.masked;
-  }
-  fault::CampaignSummary summary;
-  summary.schema = "psb.chaoscamp.v1";
-  summary.iterations = iterations;
-  summary.seed = base_seed;
-  summary.sites = tally;
   summary.extra = {{"combos.two", combos_two}, {"combos.three", combos_three}};
-  const std::string json = fault::campaign_report_json(summary);
-  if (out != "-") {
-    obs::write_text_file(out, json);
-    std::cout << "chaoscamp report written: " << out << "\n";
-  }
-  std::cout << "chaoscamp: " << iterations << " iterations (" << combos_two << " double-fault, "
-            << combos_three << " triple-fault), " << total_fired << " faults fired, "
-            << total_detected << " detected, " << total_masked
-            << " masked by exact fallback, 0 crashes\n";
-  PSB_ASSERT(total_fired > 0, "campaign armed no faults");
-  PSB_ASSERT(total_detected + total_masked == total_fired,
-             "some fired fault was neither detected nor masked");
-  return 0;
+  return finish_campaign("chaoscamp", summary, out,
+                         " (" + std::to_string(combos_two) + " double-fault, " +
+                             std::to_string(combos_three) + " triple-fault)");
 }
 
 int cmd_radius(const Args& args) {

@@ -13,6 +13,14 @@ function(expect_rc want)
   if(NOT rc EQUAL ${want})
     message(FATAL_ERROR "expected exit ${want}, got ${rc}: ${ARGN}\n${out}\n${err}")
   endif()
+  set(last_err "${err}" PARENT_SCOPE)
+endfunction()
+
+# Run a command that writes --out twice and require byte-identical files.
+function(run_twice_identical out_a out_b)
+  run(${ARGN} --out ${out_a})
+  run(${ARGN} --out ${out_b})
+  run(${CMAKE_COMMAND} -E compare_files ${out_a} ${out_b})
 endfunction()
 
 set(DATA ${WORKDIR}/smoke_data.psb)
@@ -27,6 +35,19 @@ run(${PSBTOOL} radius --data ${DATA} --index ${INDEX} --radius 100 --num-queries
 run(${PSBTOOL} build --data ${DATA} --out ${INDEX}.rect --builder hilbert --bounds rect)
 run(${PSBTOOL} info --data ${DATA} --index ${INDEX}.rect)
 
+# The scatter-gather, join and serving front ends; every --out JSON is
+# byte-stable across runs.
+set(TARGETS ${WORKDIR}/smoke_targets.psb)
+run(${PSBTOOL} generate --type clustered --dims 8 --count 400 --clusters 4 --seed 9 --out ${TARGETS})
+run(${PSBTOOL} query --data ${DATA} --k 4 --num-queries 3 --shards 2)
+run_twice_identical(${WORKDIR}/smoke_allknn_a.json ${WORKDIR}/smoke_allknn_b.json
+  ${PSBTOOL} allknn --data ${DATA} --k 4)
+run(${PSBTOOL} join --data ${DATA} --targets ${TARGETS} --k 4 --variant single
+  --out ${WORKDIR}/smoke_join.json)
+run_twice_identical(${WORKDIR}/smoke_serve_a.json ${WORKDIR}/smoke_serve_b.json
+  ${PSBTOOL} serve --data ${DATA} --index ${INDEX} --k 4 --mode both --replicas 2
+  --hedge-pct 90 --duration-s 0.25)
+
 # Exit-code contract. A file of garbage bytes must be rejected as corrupt
 # input (3), never parsed or crashed on; bad invocations exit 2.
 file(WRITE ${WORKDIR}/smoke_garbage.psb "these bytes are not an envelope")
@@ -36,6 +57,18 @@ expect_rc(3 ${PSBTOOL} info --data ${WORKDIR}/does_not_exist.psb --index ${INDEX
 expect_rc(2 ${PSBTOOL} no-such-command)
 expect_rc(2 ${PSBTOOL} query --data ${DATA})
 expect_rc(2 ${PSBTOOL})
+
+# A malformed number is a usage error naming its flag: never wrapped around,
+# truncated to its numeric prefix, or read as zero.
+function(expect_bad_number flag)
+  expect_rc(2 ${ARGN})
+  if(NOT last_err MATCHES "${flag}")
+    message(FATAL_ERROR "usage error does not name ${flag}:\n${last_err}")
+  endif()
+endfunction()
+expect_bad_number(--num-queries ${PSBTOOL} query --data ${DATA} --index ${INDEX} --num-queries -1)
+expect_bad_number(--k ${PSBTOOL} query --data ${DATA} --index ${INDEX} --k 4x)
+expect_bad_number(--iterations ${PSBTOOL} faultcamp --iterations 12abc)
 
 # A well-formed envelope of the wrong artifact type (a dataset passed as the
 # index) must also land on exit 3 via the payload-kind check — the header is
