@@ -126,45 +126,37 @@ Sphere sphere_from_diameter(std::span<const Scalar> a, std::span<const Scalar> b
 
 KnnHeap::KnnHeap(std::size_t k) : k_(k) {
   PSB_REQUIRE(k > 0, "k must be > 0");
-  entries_.reserve(k);
+  keys_.reserve(k + 1);
 }
 
-namespace {
-
-// Lexicographic (dist, id) order makes the retained set *deterministic*:
-// whatever order candidates arrive in, the heap keeps exactly the k smallest
-// (dist, id) pairs — ties between equidistant points always resolve toward
-// the lower point id (the differential-test contract).
-bool entry_less(const KnnHeap::Entry& a, const KnnHeap::Entry& b) noexcept {
-  return a.dist != b.dist ? a.dist < b.dist : a.id < b.id;
-}
-
-}  // namespace
-
-void KnnHeap::admit(Scalar dist, PointId id) {
-  const Entry e{dist, id};
+void KnnHeap::admit(std::uint64_t key) {
   if (!full()) {
-    entries_.push_back(e);
-    std::push_heap(entries_.begin(), entries_.end(), entry_less);
+    keys_.push_back(key);
+    std::push_heap(keys_.begin(), keys_.end());
+    if (keys_.size() == k_) keys_.push_back(0);  // the sentinel
     return;
   }
   // Replace-top: the evicted top's slot sifts down along the larger child
-  // until `e` dominates both children — one O(log k) pass per accepted
-  // candidate.
-  const std::size_t n = entries_.size();
+  // until `key` dominates both children — one O(log k) pass per accepted
+  // candidate. A missing right child reads the zero sentinel and loses.
   std::size_t hole = 0;
-  for (std::size_t child = 1; child < n; child = 2 * hole + 1) {
-    if (child + 1 < n && entry_less(entries_[child], entries_[child + 1])) ++child;
-    if (!entry_less(e, entries_[child])) break;
-    entries_[hole] = entries_[child];
+  for (std::size_t child = 1; child < k_; child = 2 * hole + 1) {
+    child += static_cast<std::size_t>(keys_[child] < keys_[child + 1]);
+    if (key >= keys_[child]) break;
+    keys_[hole] = keys_[child];
     hole = child;
   }
-  entries_[hole] = e;
+  keys_[hole] = key;
 }
 
 std::vector<KnnHeap::Entry> KnnHeap::sorted() const {
-  std::vector<Entry> out = entries_;
-  std::sort(out.begin(), out.end(), entry_less);
+  std::vector<std::uint64_t> keys(keys_.begin(),
+                                  keys_.begin() + static_cast<std::ptrdiff_t>(size()));
+  std::sort(keys.begin(), keys.end());
+  std::vector<Entry> out(keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    out[i] = {key_dist(keys[i]), static_cast<PointId>(keys[i])};
+  }
   return out;
 }
 

@@ -10,7 +10,10 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -18,6 +21,16 @@
 #include "common/types.hpp"
 
 namespace psb {
+
+/// The next float above x: std::nextafter(x, +inf) for every non-NaN x, as
+/// one bit increment (-0 and +0 step to the smallest denormal, negatives step
+/// toward zero, +inf stays). NaN is returned unchanged.
+constexpr Scalar next_up(Scalar x) noexcept {
+  if (x != x || x == std::numeric_limits<Scalar>::infinity()) return x;
+  if (x == 0) return std::numeric_limits<Scalar>::denorm_min();
+  const auto bits = std::bit_cast<std::uint32_t>(x);
+  return std::bit_cast<Scalar>(x > 0 ? bits + 1 : bits - 1);
+}
 
 /// Squared Euclidean distance between two equal-length vectors.
 Scalar distance_sq(std::span<const Scalar> a, std::span<const Scalar> b) noexcept;
@@ -86,32 +99,37 @@ Sphere sphere_from_diameter(std::span<const Scalar> a, std::span<const Scalar> b
 /// shared memory; `bound()` is the current pruning distance.
 ///
 /// The retained set is exactly the k smallest (dist, id) pairs offered, in
-/// any arrival order. Most offers to a full list lose, so offer() tests the
-/// candidate against the top inline and only a winner reaches the
-/// out-of-line replace-top sift-down. Callers holding a squared distance can
-/// reject before the square root: for a full list with a finite top,
-/// U = nextafter(top.dist, +inf) squared is exact in double (a float has 24
-/// significant bits), sqrt is correctly rounded and float rounding is
-/// monotone, so acc >= U*U gives float(sqrt(acc)) >= U > top.dist — a
-/// candidate offer() would reject. SharedKnnList::scan_leaf relies on this.
+/// any arrival order. Each candidate is packed into one 64-bit key: the high
+/// word is the float's bits mapped to an unsigned order (sign bit set for
+/// non-negatives, all bits flipped for negatives; -0 is folded into +0
+/// first), the low word is the id. For non-NaN distances, unsigned key order
+/// is exactly the lexicographic (dist, id) order, ties included, so offer()
+/// is one integer compare against the top and the replace-top sift-down in
+/// admit() picks the larger child without a branch. A NaN distance has no
+/// place in that order; the builders and engines reject non-finite input.
+///
+/// Callers holding a squared distance can reject before the square root: for
+/// a full list with a finite top, U = next_up(top.dist) squared is exact in
+/// double (a float has 24 significant bits), sqrt is correctly rounded and
+/// float rounding is monotone, so acc >= U*U gives float(sqrt(acc)) >= U >
+/// top.dist — a candidate offer() would reject. SharedKnnList::scan_leaf
+/// relies on this.
 class KnnHeap {
  public:
   explicit KnnHeap(std::size_t k);
 
   std::size_t k() const noexcept { return k_; }
-  std::size_t size() const noexcept { return entries_.size(); }
-  bool full() const noexcept { return entries_.size() == k_; }
+  std::size_t size() const noexcept { return full() ? k_ : keys_.size(); }
+  bool full() const noexcept { return keys_.size() > k_; }
 
   /// Current pruning distance: k-th best distance, or +inf until full.
-  Scalar bound() const noexcept { return full() ? entries_.front().dist : kInfinity; }
+  Scalar bound() const noexcept { return full() ? key_dist(keys_.front()) : kInfinity; }
 
   /// Offer a candidate; returns true if it entered the heap.
   bool offer(Scalar dist, PointId id) {
-    if (full()) {
-      const Entry& top = entries_.front();
-      if (dist > top.dist || (dist == top.dist && id >= top.id)) return false;
-    }
-    admit(dist, id);
+    const std::uint64_t key = make_key(dist, id);
+    if (full() && key >= keys_.front()) return false;
+    admit(key);
     return true;
   }
 
@@ -127,7 +145,7 @@ class KnnHeap {
   /// (dist, id) contract that candidate must be refined, not pruned. The raw
   /// k-th distance is still available via bound().
   Scalar pruning_distance() const noexcept {
-    return std::nextafter(std::min(bound(), external_bound_), kInfinity);
+    return next_up(std::min(bound(), external_bound_));
   }
 
   /// Extract results sorted ascending by distance (ties broken by id).
@@ -138,13 +156,27 @@ class KnnHeap {
   std::vector<Entry> sorted() const;
 
  private:
+  static std::uint64_t make_key(Scalar dist, PointId id) noexcept {
+    const auto bits = std::bit_cast<std::uint32_t>(dist + Scalar{0});  // -0 -> +0
+    const std::uint32_t flip = static_cast<std::uint32_t>(-(bits >> 31)) | 0x80000000U;
+    return (static_cast<std::uint64_t>(bits ^ flip) << 32) | id;
+  }
+  static Scalar key_dist(std::uint64_t key) noexcept {
+    const auto hi = static_cast<std::uint32_t>(key >> 32);
+    const std::uint32_t flip = ((hi >> 31) - 1U) | 0x80000000U;
+    return std::bit_cast<Scalar>(hi ^ flip);
+  }
+
   /// Insert a candidate offer() accepted: push while filling, else replace
   /// the top and sift it down.
-  void admit(Scalar dist, PointId id);
+  void admit(std::uint64_t key);
 
   std::size_t k_;
   Scalar external_bound_ = kInfinity;
-  std::vector<Entry> entries_;  // max-heap on dist
+  // Max-heap over keys_[0, size()). Once full, keys_[k_] is a zero sentinel
+  // no key exceeds, so the sift-down reads a right child without a bounds
+  // branch.
+  std::vector<std::uint64_t> keys_;
 };
 
 }  // namespace psb

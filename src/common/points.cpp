@@ -29,10 +29,11 @@ PointSet PointSet::subset(std::span<const PointId> ids) const {
 
 void require_finite(const PointSet& points, const char* what) {
   for (std::size_t i = 0; i < points.size(); ++i) {
-    for (const Scalar x : points[i]) {
-      if (std::isfinite(x)) continue;
+    const std::span<const Scalar> p = points[i];
+    for (std::size_t t = 0; t < p.size(); ++t) {
+      if (std::isfinite(p[t])) continue;
       std::ostringstream os;
-      os << what << ' ' << i << " has a non-finite coordinate (" << x << ')';
+      os << what << ' ' << i << " coordinate " << t << " is non-finite (" << p[t] << ')';
       throw InvalidArgument(os.str());
     }
   }

@@ -60,8 +60,9 @@ class PointSet {
 };
 
 /// Throw InvalidArgument naming the first point of `points` with a NaN or
-/// infinite coordinate, as "<what> <index> ...". Query entry points call it:
-/// the traversals assume finite distances.
+/// infinite coordinate, as "<what> <index> coordinate <t> ...". The tree
+/// builders and the query entry points call it: the traversals assume
+/// finite distances.
 void require_finite(const PointSet& points, const char* what);
 
 /// Throw InvalidArgument naming the first NaN or infinite coordinate of one

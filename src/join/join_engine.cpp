@@ -572,7 +572,7 @@ void JoinEngine::pair_walk(Cohort& cohort, simt::Metrics& m) {
             best = std::min(best, std::sqrt(acc) + static_cast<double>(n.child_radii[j]));
           }
           Scalar b = static_cast<Scalar>(best);
-          b = std::nextafter(std::nextafter(b, kInfinity), kInfinity);
+          b = next_up(next_up(b));
           lists[i].tighten(b);
         });
         cohort.ev[kEvMaxdistTightens] += eligible.size();

@@ -2,11 +2,22 @@
 // byte accounting, data-parallel child-bound computation (MINDIST/MAXDIST per
 // lane, one lane per child branch — Fig. 1a), leaf distance evaluation, and
 // the per-batch driver that runs one block per query and aggregates metrics.
+//
+// Host work and modeled work are separate ledgers: every helper charges the
+// Block for what the device would do, and may do less on the host when the
+// result is provably the same. A walker that re-enters a node (PSB
+// backtracks through parent links) may memoize the node's child_bounds
+// output and tighten_with_minmax's return for the rest of the query; the
+// contract is that every later visit still charges charge_child_bounds and
+// replays tighten_with_kth, so the modeled counters cannot tell a memo hit
+// from a recomputation. The memo is per query: the bounds depend only on the
+// query and the frozen node.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <span>
 #include <vector>
@@ -207,14 +218,20 @@ inline void seed_shared_bound(SharedKnnList& list, const GpuKnnOptions& opts) no
 ///
 /// The selection is charged whenever it runs on the device, but computed on
 /// the host only when it can matter. With m = min(k-th distance, external
-/// bound) and P = pruning_distance() = nextafter(m), fewer than k children
+/// bound) and P = pruning_distance() = next_up(m), fewer than k children
 /// with maxdist < P means the k-th smallest maxdist exceeds m, so tighten()
 /// could not lower m — now or after later inserts, which only lower the k-th
 /// distance.
-inline void tighten_with_minmax(simt::Block& block, SharedKnnList& list,
-                                std::span<const Scalar> maxdist) {
+///
+/// Returns what a walker that revisits the node memoizes for
+/// tighten_with_kth: the k-th smallest maxdist when it was selected, +inf
+/// when fewer than k maxdists beat P (P never grows, so that stays true on
+/// every later visit) or when the node has fewer than k children.
+inline Scalar tighten_with_minmax(simt::Block& block, SharedKnnList& list,
+                                  std::span<const Scalar> maxdist) {
+  constexpr Scalar kNever = std::numeric_limits<Scalar>::infinity();
   const std::size_t k = list.k();
-  if (maxdist.size() < k) return;
+  if (maxdist.size() < k) return kNever;
   const Scalar prune = list.pruning_distance();
   std::size_t below = 0;
   for (std::size_t i = 0; i < maxdist.size() && below < k; ++i) {
@@ -222,9 +239,23 @@ inline void tighten_with_minmax(simt::Block& block, SharedKnnList& list,
   }
   if (below < k) {
     block.charge_bitonic_sort(maxdist.size());
-    return;
+    return kNever;
   }
-  list.tighten(block.reduce_kth_min(maxdist, k));
+  const Scalar kth = block.reduce_kth_min(maxdist, k);
+  list.tighten(kth);
+  return kth;
+}
+
+/// Memo-hit form of tighten_with_minmax for a node of `children` children
+/// whose first visit returned `kth`: the same charge (the bitonic selection,
+/// when children >= k) and the same list. "At least k maxdists below P" is
+/// exactly "the k-th smallest maxdist is below P", and the +inf return of a
+/// skipped selection is never below P.
+inline void tighten_with_kth(simt::Block& block, SharedKnnList& list, std::size_t children,
+                             Scalar kth) {
+  if (children < list.k()) return;
+  block.charge_bitonic_sort(children);
+  if (kth < list.pruning_distance()) list.tighten(kth);
 }
 
 /// Resolve the data-parallel block width for a tree traversal. The paper's

@@ -1,5 +1,8 @@
 #include "knn/psb.hpp"
 
+#include <algorithm>
+#include <utility>
+
 #include "knn/detail/traversal_common.hpp"
 #include "simt/warp_ops.hpp"
 
@@ -8,12 +11,19 @@ namespace {
 
 using detail::child_bounds;
 using detail::leaf_distances;
-using detail::tighten_with_minmax;
 
 /// Per-query traversal state: which nodes this query has touched (re-fetches
-/// hit L2 — Access::kCached) and where the linear leaf scan stands (a fetch
+/// hit L2 — Access::kCached), where the linear leaf scan stands (a fetch
 /// of leaf i+1 right after leaf i is address-sequential and prefetchable —
-/// Access::kCoalesced, PSB's "contiguous memory blocks" advantage).
+/// Access::kCoalesced, PSB's "contiguous memory blocks" advantage), and the
+/// child bounds of every internal node visited so far.
+///
+/// Backtracking re-enters the same few internal nodes many times, so the
+/// first visit of a node memoizes its children's MINDISTs, their
+/// subtree_max_leaf as one contiguous column (the qualify predicate then
+/// reads no child Node) and tighten_with_minmax's k-th MAXDIST; every later
+/// visit charges what a recomputation would and reads them back (the charge
+/// contract is in traversal_common.hpp).
 class PsbRun {
  public:
   PsbRun(simt::Block& block, const sstree::SSTree& tree, std::span<const Scalar> q,
@@ -41,6 +51,38 @@ class PsbRun {
     if (!detail::budget_exhausted(opts_, st_)) return false;
     out_.budget_exhausted = true;
     return true;
+  }
+
+  /// One memoized internal node: its child columns start at `offset` in
+  /// mindist_ / max_leaf_.
+  struct Memo {
+    std::size_t offset;
+    Scalar kth_maxdist;  // tighten_with_minmax's first-visit return
+  };
+
+  /// Child bounds of internal node `n` for this visit, with the MINMAXDIST
+  /// tightening applied: computed and memoized on the first visit, read back
+  /// on later ones, charged in full either way.
+  Memo visit_bounds(const sstree::Node& n) {
+    const std::size_t c = n.children.size();
+    const auto it = std::lower_bound(
+        memo_index_.begin(), memo_index_.end(), n.id,
+        [](const std::pair<NodeId, std::size_t>& e, NodeId id) { return e.first < id; });
+    if (it != memo_index_.end() && it->first == n.id) {
+      const Memo m = memos_[it->second];
+      detail::charge_child_bounds(block_, tree_, n, /*need_max=*/true);
+      detail::tighten_with_kth(block_, list_, c, m.kth_maxdist);
+      return m;
+    }
+    child_bounds(block_, tree_, n, q_, /*need_max=*/true, cb_);
+    const Memo m{mindist_.size(), detail::tighten_with_minmax(block_, list_, cb_.maxdist)};
+    mindist_.insert(mindist_.end(), cb_.mindist.begin(), cb_.mindist.end());
+    for (const NodeId child : n.children) {
+      max_leaf_.push_back(tree_.node(child).subtree_max_leaf);
+    }
+    memo_index_.insert(it, {n.id, memos_.size()});
+    memos_.push_back(m);
+    return m;
   }
 
   void fetch(const sstree::Node& n) {
@@ -89,9 +131,9 @@ class PsbRun {
         last_fetched_leaf_ = -2;
         return;
       }
-      child_bounds(block_, tree_, n, q_, /*need_max=*/true, cb_);
-      tighten_with_minmax(block_, list_, cb_.maxdist);
-      cur = n.children[block_.reduce_argmin(cb_.mindist)];
+      const Memo m = visit_bounds(n);
+      cur = n.children[block_.reduce_argmin(
+          std::span(mindist_).subspan(m.offset, n.children.size()))];
     }
   }
 
@@ -114,18 +156,18 @@ class PsbRun {
         if (out_of_budget()) return;
         const sstree::Node& n = tree_.node(cur);
         fetch(n);
-        child_bounds(block_, tree_, n, q_, /*need_max=*/true, cb_);
-        tighten_with_minmax(block_, list_, cb_.maxdist);
+        const Memo m = visit_bounds(n);
         const Scalar prune = list_.pruning_distance();
 
         // Alg. 1 lines 16-26: leftmost child inside the pruning distance
         // whose subtree still has unscanned leaves — one predicate per lane,
         // then a ballot + ffs (charged by leftmost_set).
-        qualifies_.resize(n.children.size());
-        for (std::size_t i = 0; i < n.children.size(); ++i) {
-          qualifies_[i] =
-              cb_.mindist[i] < prune &&
-              static_cast<std::int64_t>(tree_.node(n.children[i]).subtree_max_leaf) > visited;
+        const std::size_t c = n.children.size();
+        const Scalar* mindist = mindist_.data() + m.offset;
+        const std::int64_t* max_leaf = max_leaf_.data() + m.offset;
+        qualifies_.resize(c);
+        for (std::size_t i = 0; i < c; ++i) {
+          qualifies_[i] = mindist[i] < prune && max_leaf[i] > visited;
         }
         const std::size_t pick = simt::leftmost_set(block_, qualifies_);
         const bool found = pick < n.children.size();
@@ -185,6 +227,11 @@ class PsbRun {
   // Per-node scratch, reused down the whole walk.
   detail::ChildBounds cb_;
   std::vector<std::uint8_t> qualifies_;
+  // The bounds memo: memo_index_ maps a node id (sorted) to its memos_ slot.
+  std::vector<std::pair<NodeId, std::size_t>> memo_index_;
+  std::vector<Memo> memos_;
+  std::vector<Scalar> mindist_;
+  std::vector<std::int64_t> max_leaf_;
 };
 
 }  // namespace

@@ -42,8 +42,25 @@ namespace {
 double reject_cut(const KnnHeap& heap) noexcept {
   const Scalar top = heap.bound();
   if (!(top < kInfinity)) return std::numeric_limits<double>::quiet_NaN();
-  const double u = std::nextafter(top, kInfinity);
+  const double u = next_up(top);
   return u * u;
+}
+
+/// Float threshold of the prefilter for `cut` over `d` dimensions (the
+/// argument is in the SharedKnnList header comment): a float accumulator at
+/// or above it proves the exact one is at or above `cut`. NaN — the
+/// prefilter stands aside — outside the float-safe range [2^-64, 2^100] of
+/// the cut (this also covers a NaN cut).
+float prefilter_threshold(double cut, std::size_t d) noexcept {
+  constexpr double kMinCut = 0x1p-64;
+  constexpr double kMaxCut = 0x1p100;
+  constexpr double kUnit = 0x1p-24;  // float unit roundoff
+  const double nu = static_cast<double>(d + 2) * kUnit;
+  if (!(cut >= kMinCut && cut <= kMaxCut) || !(nu < 0.5)) {
+    return std::numeric_limits<float>::quiet_NaN();
+  }
+  const double gamma = nu / (1 - nu);  // gamma_{d+2}
+  return next_up(static_cast<float>(cut * (1 + gamma)));
 }
 
 }  // namespace
@@ -63,14 +80,51 @@ std::size_t SharedKnnList::scan_leaf(const sstree::Node& leaf, std::span<const S
   block_.par_for(c, static_cast<std::uint64_t>(d) * 3 + 1, [](std::size_t) {});
   block_.par_for(offered, 1, [](std::size_t) {});
 
-  // Host work, a stack-sized chunk of points at a time: squared distances
-  // accumulate dimension-outer so the point loop vectorizes (each point
-  // still sees the same double add sequence), then one in-order offer pass.
+  // Host work, a stack-sized chunk of points at a time, accumulated
+  // dimension-outer so the point loops vectorize. A point reaches offer()
+  // in leaf order, with its double accumulator built by the same add
+  // sequence on every path.
   constexpr std::size_t kChunk = 64;
   std::size_t inserted = 0;
   double cut = reject_cut(heap_);
+  const auto offer_exact = [&](std::size_t i, double acc) {
+    const PointId id = leaf.points[i];
+    if (id == excluded_id || acc >= cut) return;
+    if (heap_.offer(static_cast<Scalar>(std::sqrt(acc)), id)) {
+      ++inserted;
+      cut = reject_cut(heap_);
+    }
+  };
   for (std::size_t base = 0; base < c; base += kChunk) {
     const std::size_t w = std::min(kChunk, c - base);
+    const float threshold = prefilter_threshold(cut, d);
+    if (!std::isnan(threshold)) {
+      // Full list, cut in the float-safe range: float accumulators pick the
+      // survivors, which alone get the exact double accumulator.
+      float accf[kChunk] = {};
+      for (std::size_t t = 0; t < d; ++t) {
+        const float qt = query[t];
+        const Scalar* col = leaf.coords.data() + t * c + base;
+        for (std::size_t i = 0; i < w; ++i) {
+          const float diff = qt - col[i];
+          accf[i] += diff * diff;
+        }
+      }
+      std::uint64_t survivors = 0;
+      for (std::size_t i = 0; i < w; ++i) {
+        survivors |= static_cast<std::uint64_t>(!(accf[i] >= threshold)) << i;
+      }
+      for (; survivors != 0; survivors &= survivors - 1) {
+        const std::size_t i = base + static_cast<std::size_t>(std::countr_zero(survivors));
+        double acc = 0;
+        for (std::size_t t = 0; t < d; ++t) {
+          const double diff = static_cast<double>(query[t]) - leaf.coords[t * c + i];
+          acc += diff * diff;
+        }
+        offer_exact(i, acc);
+      }
+      continue;
+    }
     double acc[kChunk] = {};
     for (std::size_t t = 0; t < d; ++t) {
       const double qt = query[t];
@@ -80,14 +134,7 @@ std::size_t SharedKnnList::scan_leaf(const sstree::Node& leaf, std::span<const S
         acc[i] += diff * diff;
       }
     }
-    for (std::size_t i = 0; i < w; ++i) {
-      const PointId id = leaf.points[base + i];
-      if (id == excluded_id || acc[i] >= cut) continue;
-      if (heap_.offer(static_cast<Scalar>(std::sqrt(acc[i])), id)) {
-        ++inserted;
-        cut = reject_cut(heap_);
-      }
-    }
+    for (std::size_t i = 0; i < w; ++i) offer_exact(base + i, acc[i]);
   }
   charge_merge(inserted, offered);
   return inserted;

@@ -15,10 +15,30 @@
 // update fused, with the modeled charges of the two separate steps. On the
 // host it skips the square root and the offer for every point whose squared
 // distance already loses to the full list's top (the exact reject argued at
-// KnnHeap), so the answer and every counter stay what they were.
+// KnnHeap: acc >= cut = next_up(top)^2), so the answer and every counter stay
+// what they were.
+//
+// Once the list is full it also skips the double accumulator of most points.
+// A 64-point chunk is first accumulated in float — the query and the
+// coordinates are floats, so each term fl(q - x)^2 carries three roundings
+// and the d-term sum d - 1 more — and only points whose float sum is below
+// T = next_up(float(cut * (1 + gamma_{d+2}))), gamma_n = n*u / (1 - n*u),
+// u = 2^-24, are recomputed exactly (same add order) and offered. A point
+// with float sum >= T is one the exact reject would skip:
+//   * without overflow or underflow, float sum <= (1 + gamma_{d+2}) * S for
+//     the real sum S, and T exceeds cut * (1 + gamma_{d+2}) by at least the
+//     half ULP (~2^-25 relative) that next_up adds, so S > cut * (1 + 2^-26);
+//     the double accumulator is within (d + 2) * 2^-53 of S, so acc >= cut;
+//   * float underflow only adds d * 2^-150 in absolute terms, a relative
+//     d * 2^-86 of a cut >= 2^-64, which the half ULP covers (nu < 1/2
+//     caps d); overflow to +inf needs S >= ~2^127, above any cut <= 2^100.
+// Outside that float-safe range of the cut, or while the list is not full
+// (cut is NaN), the chunk takes the double path. A NaN float sum fails the
+// `>= T` test, so it survives and the exact path decides. The cut only falls
+// within a chunk, so survivors of the chunk-start T are a superset of what
+// the exact reject keeps.
 #pragma once
 
-#include <cmath>
 #include <span>
 
 #include "common/geometry.hpp"
@@ -41,13 +61,11 @@ class SharedKnnList {
 
   /// Tighten with a MINMAXDIST guarantee: at least k points exist within
   /// `bound`. Caller is responsible for the "at least k" precondition.
-  /// The bound is inflated by one ULP so that subtrees whose MINDIST ties the
-  /// bound exactly (duplicate / degenerate data) are not pruned — pruning
-  /// tests are strict, and a marginally larger value is still a valid
-  /// k-point upper bound.
-  void tighten(Scalar bound) noexcept {
-    heap_.tighten(std::nextafter(bound, kInfinity));
-  }
+  /// The bound is inflated by one ULP (next_up) so that subtrees whose
+  /// MINDIST ties the bound exactly (duplicate / degenerate data) are not
+  /// pruned — pruning tests are strict, and a marginally larger value is
+  /// still a valid k-point upper bound.
+  void tighten(Scalar bound) noexcept { heap_.tighten(next_up(bound)); }
 
   /// Offer one batch of candidates (one leaf / one scan chunk). Distances
   /// are compared in parallel; accepted candidates are inserted serially.

@@ -97,7 +97,7 @@ QueryResult task_parallel_sstree_query(const sstree::SSTree& tree, std::span<con
   QueryResult out;
   KnnHeap heap(std::min(opts.k, tree.data().size()));
   if (opts.initial_prune_bound < kInfinity) {
-    heap.tighten(std::nextafter(opts.initial_prune_bound, kInfinity));
+    heap.tighten(next_up(opts.initial_prune_bound));
   }
   ++out.stats.restarts;
   simt::LaneWork lane;
@@ -131,7 +131,7 @@ BatchResult task_parallel_sstree_knn(const sstree::SSTree& tree, const PointSet&
     if (opts.initial_prune_bound < kInfinity) {
       // One-ULP inflation keeps the strict pruning test from cutting a
       // subtree that exactly ties the shared bound (duplicate-heavy data).
-      heap.tighten(std::nextafter(opts.initial_prune_bound, kInfinity));
+      heap.tighten(next_up(opts.initial_prune_bound));
     }
     ++out.queries[i].stats.restarts;
     // Each lane opens its own resident window: lanes are independent threads,

@@ -101,7 +101,7 @@ Sphere parallel_ritter(simt::Block& block, std::span<const Sphere> children) {
   double cover = static_cast<double>(distance(s.center, children[far_child].center)) +
                  static_cast<double>(children[far_child].radius);
   Scalar snapped = static_cast<Scalar>(cover);
-  snapped = std::nextafter(std::nextafter(snapped, kInfinity), kInfinity);
+  snapped = next_up(next_up(snapped));
   s.radius = std::max(s.radius, snapped);
   return s;
 }

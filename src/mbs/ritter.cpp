@@ -171,7 +171,7 @@ Sphere ritter_spheres(std::span<const Sphere> children) {
                                 static_cast<double>(c.radius));
   }
   Scalar snapped = static_cast<Scalar>(cover);
-  snapped = std::nextafter(std::nextafter(snapped, kInfinity), kInfinity);
+  snapped = next_up(next_up(snapped));
   s.radius = std::max(s.radius, snapped);
   return s;
 }

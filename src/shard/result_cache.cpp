@@ -86,7 +86,7 @@ std::size_t ResultCache::invalidate_insert(std::span<const Scalar> p) {
       // One-ULP inflation drops entries the new point exactly ties as well —
       // under (dist, id) order a tie can displace the cached k-th neighbor.
       const Scalar kth = it->neighbors.back().dist;
-      affected = distance(it->query, p) <= std::nextafter(kth, kInfinity);
+      affected = distance(it->query, p) <= next_up(kth);
     }
     if (affected) {
       drop(it);

@@ -185,7 +185,7 @@ void ShardedEngine::recompute_bounds(Shard& sh) const {
   }
   // One ULP of slack absorbs the float rounding of the centroid distance, so
   // `mindist(q, bounds) <= true distance to every alive point` holds exactly.
-  sh.bounds.radius = std::nextafter(radius, kInfinity);
+  sh.bounds.radius = next_up(radius);
 }
 
 void ShardedEngine::refresh_delegate() {
@@ -366,7 +366,7 @@ knn::QueryResult ShardedEngine::serve_query(std::span<const Scalar> q, simt::Met
   for (const Visit& v : visits) {
     Shard& sh = *shards_[v.s];
     if (opts_.share_bounds && merged.full() &&
-        v.mind > std::nextafter(merged.bound(), kInfinity)) {
+        v.mind > next_up(merged.bound())) {
       // Every point of the shard is at least MINDIST away, strictly beyond
       // the current k-th (even under tie-breaking, hence the one-ULP guard):
       // the whole tree is pruned without a fetch.

@@ -10,6 +10,7 @@ namespace psb::sstree {
 BuildOutput build_hilbert(const PointSet& points, std::size_t degree,
                           const HilbertBuildOptions& opts) {
   PSB_REQUIRE(!points.empty(), "cannot build over an empty point set");
+  require_finite(points, "point");
   const auto start = std::chrono::steady_clock::now();
 
   BuildOutput out{SSTree(&points, degree, opts.bounds), {}, 0};

@@ -37,6 +37,7 @@ std::vector<PointId> serialize_clusters(const cluster::KMeansResult& km, const R
 BuildOutput build_kmeans(const PointSet& points, std::size_t degree,
                          const KMeansBuildOptions& opts) {
   PSB_REQUIRE(!points.empty(), "cannot build over an empty point set");
+  require_finite(points, "point");
   const auto start = std::chrono::steady_clock::now();
 
   BuildOutput out{SSTree(&points, degree, opts.bounds), {}, 0};

@@ -140,6 +140,7 @@ class TopDownBuilder {
 BuildOutput build_topdown(const PointSet& points, std::size_t degree,
                           const TopDownOptions& opts) {
   PSB_REQUIRE(!points.empty(), "cannot build over an empty point set");
+  require_finite(points, "point");
   PSB_REQUIRE(opts.reinsert_fraction >= 0 && opts.reinsert_fraction < 1,
               "reinsert_fraction must be in [0, 1)");
   const auto start = std::chrono::steady_clock::now();

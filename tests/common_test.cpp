@@ -1,7 +1,10 @@
 // Unit tests for psb::common — geometry kernels, PointSet, KnnHeap, errors.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "common/error.hpp"
 #include "common/geometry.hpp"
@@ -182,6 +185,30 @@ TEST(KnnHeap, AgainstSortReference) {
   std::sort(all.begin(), all.end());
   const auto sorted = heap.sorted();
   for (std::size_t i = 0; i < 10; ++i) EXPECT_FLOAT_EQ(sorted[i].dist, all[i]);
+}
+
+TEST(NextUp, EqualsNextafterTowardInfinity) {
+  using Lim = std::numeric_limits<Scalar>;
+  const auto expect_same = [](Scalar x) {
+    const Scalar want = std::nextafter(x, Lim::infinity());
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(next_up(x)), std::bit_cast<std::uint32_t>(want))
+        << "x bits 0x" << std::hex << std::bit_cast<std::uint32_t>(x);
+  };
+  const Scalar edges[] = {0.0F, -0.0F, Lim::denorm_min(), -Lim::denorm_min(), Lim::min(),
+                          -Lim::min(), Lim::max(), -Lim::max(), Lim::infinity(), -Lim::infinity(),
+                          1.0F, -1.0F, kInfinity, std::bit_cast<Scalar>(0x007fffffU),
+                          std::bit_cast<Scalar>(0x807fffffU)};
+  for (const Scalar x : edges) expect_same(x);
+  EXPECT_EQ(next_up(-Scalar{0}), Lim::denorm_min());
+  EXPECT_EQ(next_up(Lim::infinity()), Lim::infinity());
+  EXPECT_TRUE(std::isnan(next_up(Lim::quiet_NaN())));
+
+  Rng rng(0x5EED);
+  for (int i = 0; i < 100000; ++i) {
+    const Scalar x = std::bit_cast<Scalar>(static_cast<std::uint32_t>(rng.next_u64()));
+    if (std::isnan(x)) continue;
+    expect_same(x);
+  }
 }
 
 TEST(KnnHeap, RejectsZeroK) { EXPECT_THROW(KnnHeap(0), InvalidArgument); }

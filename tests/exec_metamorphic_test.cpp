@@ -343,7 +343,7 @@ knn::BatchResult reference_sharded(const shard::ShardedEngine& eng, const PointS
     for (std::size_t i = 0; i < pts.size(); ++i) {
       radius = std::max(radius, distance(sh.bounds.center, pts[i]));
     }
-    sh.bounds.radius = std::nextafter(radius, kInfinity);
+    sh.bounds.radius = next_up(radius);
     shards.push_back(std::move(sh));
   }
 
@@ -360,7 +360,7 @@ knn::BatchResult reference_sharded(const shard::ShardedEngine& eng, const PointS
     KnnHeap merged(std::min(k, data.size()));
     for (const auto& [mind, s] : visits) {
       const bool bounded = opts.share_bounds && merged.full();
-      if (bounded && mind > std::nextafter(merged.bound(), kInfinity)) continue;
+      if (bounded && mind > next_up(merged.bound())) continue;
       knn::GpuKnnOptions gpu = opts.engine.gpu;
       gpu.initial_prune_bound = bounded ? merged.bound() : kInfinity;
       gpu.snapshot = shards[s].arenas->snapshot();

@@ -1,9 +1,11 @@
 // Equivalence tests for the host hot path: the fused leaf kernel
-// (SharedKnnList::scan_leaf), the replace-top KnnHeap and the skipped
-// MINMAXDIST selection must keep exactly the answers, pruning distances and
-// modeled charges of the straightforward forms they replace. Also the query,
-// join-target, dataset and insert entry points' rejection of non-finite
-// coordinates, which the exact early reject and the shard spheres rely on.
+// (SharedKnnList::scan_leaf) with its float prefilter, the packed-key
+// replace-top KnnHeap, the skipped MINMAXDIST selection and its memo replay,
+// and PSB's per-query bounds memo must keep exactly the answers, pruning
+// distances and modeled charges of the straightforward forms they replace.
+// Also the builders', query, join-target, dataset and insert entry points'
+// rejection of non-finite coordinates, which the exact early reject, the
+// prefilter and the shard spheres rely on.
 #include <algorithm>
 #include <cmath>
 #include <limits>
@@ -17,6 +19,7 @@
 #include "engine/batch_engine.hpp"
 #include "join/join_engine.hpp"
 #include "knn/detail/traversal_common.hpp"
+#include "knn/psb.hpp"
 #include "knn/shared_heap.hpp"
 #include "obs/registry.hpp"
 #include "serve/streaming_engine.hpp"
@@ -201,6 +204,149 @@ TEST(HotPathScanLeaf, LargeCoordinatesOverflowingFloatDistances) {
   }
 }
 
+/// `n` points on the sphere of radius `r` around `q`, rounded to float:
+/// their distances agree to a few ULPs, so many land within the float
+/// prefilter's error of the cut.
+std::vector<std::vector<Scalar>> shell_points(std::span<const Scalar> q, double r,
+                                              std::size_t n, Rng& rng) {
+  std::vector<std::vector<Scalar>> pts(n, std::vector<Scalar>(q.size()));
+  std::vector<double> v(q.size());
+  for (auto& p : pts) {
+    double norm = 0;
+    for (auto& x : v) {
+      x = rng.normal();
+      norm += x * x;
+    }
+    norm = std::sqrt(norm);
+    for (std::size_t t = 0; t < q.size(); ++t) {
+      p[t] = static_cast<Scalar>(q[t] + r * v[t] / norm);
+    }
+  }
+  return pts;
+}
+
+TEST(HotPathScanLeaf, PrefilterMatchesReferenceOnNearTiesAcrossDims) {
+  for (const std::size_t dims : {1U, 4U, 17U, 64U}) {
+    for (const double center : {500.0, 0.0}) {
+      Rng rng(700 + dims + static_cast<std::uint64_t>(center));
+      // Centered on 500, q - x is exact in float (Sterbenz); centered on the
+      // origin with a tiny query, every difference rounds as well, so the
+      // float sums stray furthest from the exact ones.
+      std::vector<Scalar> q(dims);
+      for (auto& x : q) x = static_cast<Scalar>(center + rng.uniform(-1e-3, 1e-3));
+      // Odd ids for the originals, even ids for the exact copies that follow
+      // them: every copy ties its original's distance exactly, with an id
+      // below or above it (and below or above the list's top id).
+      std::vector<sstree::Node> leaves;
+      PointId next_odd = 1;
+      for (const std::size_t size : {64U, 100U, 37U, 130U}) {
+        const auto pts = shell_points(q, 50.0 + static_cast<double>(size % 3), size, rng);
+        std::vector<PointId> ids(size);
+        for (auto& id : ids) id = (next_odd += 2);
+        shuffle(ids, rng);
+        leaves.push_back(make_leaf(pts, ids));
+        std::vector<PointId> twins(size);
+        for (std::size_t i = 0; i < size; ++i) {
+          twins[i] = ids[i] - 1 + 2 * static_cast<PointId>(rng.next_below(2));
+        }
+        shuffle(twins, rng);
+        leaves.push_back(make_leaf(pts, twins));
+      }
+      const PointId present = leaves.front().points[5];
+      for (const std::size_t k : {1U, 8U, 32U, 100U, 2000U}) {
+        for (const bool spill : {false, true}) {
+          for (const PointId excluded : {kInvalidPoint, present}) {
+            const std::string label =
+                "dims=" + std::to_string(dims) + " center=" + std::to_string(center) +
+                " k=" + std::to_string(k) + " spill=" + std::to_string(spill) +
+                " excluded=" + std::to_string(excluded);
+            check_leaf_sequence(leaves, q, k, spill, excluded, kInfinity, label);
+            check_leaf_sequence(leaves, q, k, spill, excluded, Scalar{50}, label + " seeded");
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(HotPathScanLeaf, PrefilterStandsAsideOutsideTheFloatSafeRange) {
+  const Scalar big = std::numeric_limits<Scalar>::max();
+  const Scalar denorm = std::numeric_limits<Scalar>::denorm_min();
+  for (const std::size_t dims : {1U, 4U, 17U, 64U}) {
+    Rng rng(900 + dims);
+    const auto draw = [&](std::initializer_list<Scalar> palette) {
+      return *(palette.begin() + rng.next_below(palette.size()));
+    };
+    const auto leaf_of = [&](std::size_t n, std::initializer_list<Scalar> palette,
+                             PointId first_id) {
+      std::vector<std::vector<Scalar>> pts(n, std::vector<Scalar>(dims));
+      for (auto& p : pts) {
+        for (auto& x : p) x = draw(palette);
+      }
+      std::vector<PointId> ids(n);
+      std::iota(ids.begin(), ids.end(), first_id);
+      shuffle(ids, rng);
+      return make_leaf(pts, ids);
+    };
+    const std::vector<Scalar> origin(dims, Scalar{0});
+    const std::vector<Scalar> far_corner(dims, -big / 2);
+    // Cut above the range: squared distances near FLT_MAX^2, float sums
+    // overflowing to +inf.
+    const std::vector<sstree::Node> huge = {leaf_of(70, {big, -big, big / 3, 0, 1e30F}, 0),
+                                            leaf_of(70, {big, big / 3, 1e30F, -1e30F}, 100)};
+    // Cut inside the range, far points overflowing the float sum: near
+    // points fill the list, then +inf float sums must be rejects.
+    const std::vector<sstree::Node> mixed = {leaf_of(64, {0.25F, -0.5F, 1, 0}, 0),
+                                             leaf_of(64, {big, -big, 0.5F, 3e38F}, 100),
+                                             leaf_of(64, {0.25F, -0.75F, 2e-20F, 0}, 200)};
+    // Cut below the range: zero, denormal and underflowing distances.
+    const std::vector<sstree::Node> tiny = {
+        leaf_of(66, {0, denorm, -denorm, 4 * denorm, 1e-39F}, 0),
+        leaf_of(66, {0, 1e-30F, -1e-25F, denorm, 1e-20F}, 100),
+        leaf_of(66, {0, 1e-5F, 1e-30F, -2e-5F}, 200)};
+    for (std::size_t k = 1; k <= 9; k += 4) {
+      const std::string at = "dims=" + std::to_string(dims) + " k=" + std::to_string(k);
+      check_leaf_sequence(huge, far_corner, k, false, kInvalidPoint, kInfinity, at + " huge");
+      check_leaf_sequence(huge, origin, k, false, 103, kInfinity, at + " huge origin");
+      check_leaf_sequence(mixed, origin, k, false, kInvalidPoint, kInfinity, at + " mixed");
+      check_leaf_sequence(tiny, origin, k, false, kInvalidPoint, kInfinity, at + " tiny");
+      check_leaf_sequence(tiny, origin, k, true, 201, kInfinity, at + " tiny excluded");
+    }
+  }
+}
+
+TEST(HotPathKnnHeap, PackedKeysOrderSignedZerosInfinityAndTies) {
+  const auto less = [](const KnnHeap::Entry& a, const KnnHeap::Entry& b) {
+    return a.dist != b.dist ? a.dist < b.dist : a.id < b.id;
+  };
+  using Lim = std::numeric_limits<Scalar>;
+  const std::vector<Scalar> palette = {0.0F, -0.0F, Lim::infinity(), Lim::max(),
+                                       Lim::denorm_min(), 2.5F, 2.5F, Lim::min()};
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    Rng rng(0xFEED + seed);
+    const std::size_t k = 1 + rng.next_below(12);
+    KnnHeap heap(k);
+    std::vector<KnnHeap::Entry> seen;
+    for (std::size_t i = 0; i < 80; ++i) {
+      // Ids repeat across distances, so equal keys reach the heap too.
+      const KnnHeap::Entry e{palette[rng.next_below(palette.size())],
+                             static_cast<PointId>(rng.next_below(30))};
+      std::vector<KnnHeap::Entry> want = seen;
+      want.push_back(e);
+      std::stable_sort(want.begin(), want.end(), less);
+      want.resize(std::min(k, want.size()));
+      // offer() keeps e exactly when it ranks among the k smallest of what
+      // the heap held plus e; a duplicate of a kept key may take either slot.
+      const bool kept = seen.size() < k || less(e, seen.back());
+      const std::string label = "seed=" + std::to_string(seed) + " i=" + std::to_string(i);
+      EXPECT_EQ(heap.offer(e.dist, e.id), kept) << label;
+      seen = want;
+      expect_entries_equal(heap.sorted(), want, label);
+      EXPECT_EQ(heap.bound(), want.size() == k ? want.back().dist : kInfinity) << label;
+    }
+  }
+}
+
 TEST(HotPathKnnHeap, MatchesSortAndTruncateOnStreamsWithDuplicates) {
   const auto less = [](const KnnHeap::Entry& a, const KnnHeap::Entry& b) {
     return a.dist != b.dist ? a.dist < b.dist : a.id < b.id;
@@ -295,6 +441,125 @@ TEST(HotPathMinmax, SkippedSelectionEqualsAlwaysSelect) {
   EXPECT_GT(selected, 50U);
 }
 
+TEST(HotPathMinmax, MemoReplayEqualsRecomputeAndTheBruteKth) {
+  const simt::DeviceSpec dev;
+  std::size_t tightened = 0;  // first visits whose selection ran
+  std::size_t never = 0;      // first visits that memoized "never tightens"
+  for (std::uint64_t seed = 0; seed < 300; ++seed) {
+    Rng rng(0xA11CE + seed);
+    const std::size_t k = 1 + rng.next_below(10);
+    const std::size_t children = k - 1 + rng.next_below(3);  // k - 1 .. k + 1
+    const auto draw = [&] { return static_cast<Scalar>(1 + rng.next_below(20)); };
+    std::vector<Scalar> maxdist(children);
+    for (auto& v : maxdist) v = draw();
+
+    simt::Metrics m_memo;
+    simt::Metrics m_ref;
+    simt::Block b_memo(dev, 64, &m_memo);
+    simt::Block b_ref(dev, 64, &m_ref);
+    knn::SharedKnnList memo(b_memo, k);
+    knn::SharedKnnList ref(b_ref, k);
+    const auto offer_both = [&](Scalar d, PointId id) {
+      memo.offer_batch(std::span(&d, 1), std::span(&id, 1));
+      ref.offer_batch(std::span(&d, 1), std::span(&id, 1));
+    };
+    for (std::size_t i = 0, fill = rng.next_below(2 * k + 1); i < fill; ++i) {
+      offer_both(draw(), static_cast<PointId>(i));
+    }
+
+    // First visit: both compute; the memo keeps the return value.
+    const Scalar before = memo.pruning_distance();
+    const Scalar kth = knn::detail::tighten_with_minmax(b_memo, memo, maxdist);
+    knn::detail::tighten_with_minmax(b_ref, ref, maxdist);
+    std::vector<Scalar> sorted = maxdist;
+    std::sort(sorted.begin(), sorted.end());
+    const std::string label = "seed=" + std::to_string(seed);
+    if (children >= k && sorted[k - 1] < before) {
+      EXPECT_EQ(kth, sorted[k - 1]) << label;
+      ++tightened;
+    } else {
+      EXPECT_EQ(kth, std::numeric_limits<Scalar>::infinity()) << label;
+      ++never;
+    }
+
+    // Later visits, with the list improving in between: replay vs recompute.
+    for (std::size_t visit = 0; visit < 4; ++visit) {
+      for (std::size_t i = 0; i < k; ++i) {
+        offer_both(draw() / 2, static_cast<PointId>(100 + visit * k + i));
+      }
+      knn::detail::tighten_with_kth(b_memo, memo, children, kth);
+      knn::detail::tighten_with_minmax(b_ref, ref, maxdist);
+      const std::string at = label + " visit " + std::to_string(visit);
+      EXPECT_EQ(memo.pruning_distance(), ref.pruning_distance()) << at;
+      expect_entries_equal(memo.sorted(), ref.sorted(), at);
+      expect_metrics_equal(m_memo, m_ref, at);
+    }
+  }
+  EXPECT_GT(tightened, 40U);
+  EXPECT_GT(never, 40U);
+}
+
+TEST(HotPathPsb, MemoizedWalkIsExactAroundTheFanoutOnEveryLayout) {
+  constexpr std::size_t kFanout = 8;
+  const PointSet data = test::small_clustered(4, 3000, /*seed=*/31);
+  const PointSet queries = test::random_queries(4, 24, /*seed=*/32);
+  const sstree::BuildOutput built = sstree::build_kmeans(data, kFanout, {});
+  const sstree::SSTree& tree = built.tree;
+  simt::Metrics total;
+  for (const std::size_t k : {kFanout - 1, kFanout, kFanout + 1}) {
+    for (const engine::NodeLayout layout :
+         {engine::NodeLayout::kPointer, engine::NodeLayout::kSnapshot,
+          engine::NodeLayout::kImplicit}) {
+      engine::BatchEngineOptions eo;
+      eo.gpu.k = k;
+      eo.layout = layout;
+      const engine::BatchEngine eng(tree, eo);
+      knn::GpuKnnOptions gpu = eo.gpu;
+      gpu.snapshot = eng.snapshot();
+      gpu.implicit = eng.implicit_layout();
+      for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+        const std::string label = "k=" + std::to_string(k) + " layout=" +
+                                  std::string(engine::node_layout_name(layout)) +
+                                  " query=" + std::to_string(qi);
+        const std::span<const Scalar> q = queries[qi];
+        simt::Metrics m;
+        const knn::QueryResult direct = knn::psb_query(tree, q, gpu, &m);
+        total.merge(m);
+        PointSet one(4);
+        one.append(q);
+        const knn::BatchResult batch = eng.run(one);
+        const knn::QueryResult& via = batch.queries[0];
+        expect_metrics_equal(m, batch.metrics, label + " metrics");
+        EXPECT_EQ(direct.stats.nodes_visited, via.stats.nodes_visited) << label;
+        EXPECT_EQ(direct.stats.leaves_visited, via.stats.leaves_visited) << label;
+        EXPECT_EQ(direct.stats.points_examined, via.stats.points_examined) << label;
+        EXPECT_EQ(direct.stats.backtracks, via.stats.backtracks) << label;
+        EXPECT_EQ(direct.stats.leaf_scans, via.stats.leaf_scans) << label;
+        EXPECT_EQ(direct.stats.restarts, via.stats.restarts) << label;
+        EXPECT_EQ(direct.stats.heap_inserts, via.stats.heap_inserts) << label;
+        expect_entries_equal(direct.neighbors, via.neighbors, label + " engine");
+
+        // Exact under the (dist, id) contract: brute force over every point.
+        KnnHeap brute(k);
+        for (std::size_t i = 0; i < data.size(); ++i) {
+          brute.offer(distance(q, data[i]), static_cast<PointId>(i));
+        }
+        expect_entries_equal(direct.neighbors, brute.sorted(), label + " brute");
+      }
+    }
+  }
+  // The modeled charges of the walk that recomputed every visit's child
+  // bounds, recorded before the memo: a memo hit must charge the same.
+  EXPECT_EQ(total.warp_instructions, 679485U);
+  EXPECT_EQ(total.active_lane_slots, 5394690U);
+  EXPECT_EQ(total.serial_ops, 23751U);
+  EXPECT_EQ(total.divergent_steps, 655734U);
+  EXPECT_EQ(total.bytes_coalesced, 2090176U);
+  EXPECT_EQ(total.bytes_random, 2293440U);
+  EXPECT_EQ(total.bytes_cached, 787480U);
+  EXPECT_EQ(total.node_fetches, 31950U);
+}
+
 /// Run `fn`, expecting InvalidArgument whose message contains `needle`.
 template <typename Fn>
 void expect_rejected(Fn&& fn, const std::string& needle, const char* entry) {
@@ -373,6 +638,17 @@ TEST_P(NonFiniteQuery, ShardedInsertRejectsItNamingTheCoordinate) {
       EXPECT_EQ(after.queries[q].neighbors[i].dist, before.queries[q].neighbors[i].dist);
     }
   }
+}
+
+TEST_P(NonFiniteQuery, BuildersRejectItNamingThePointAndCoordinate) {
+  // The clustered 4-d probe: a NaN point used to build without complaint
+  // and leave wrong, unflagged PSB answers.
+  PointSet data = test::small_clustered(4, 2000, /*seed=*/17);
+  data.mutable_point(17)[2] = GetParam();
+  const std::string needle = "point 17 coordinate 2";
+  expect_rejected([&] { (void)sstree::build_hilbert(data, 16); }, needle, "build_hilbert");
+  expect_rejected([&] { (void)sstree::build_kmeans(data, 16); }, needle, "build_kmeans");
+  expect_rejected([&] { (void)sstree::build_topdown(data, 16); }, needle, "build_topdown");
 }
 
 /// Six arrivals 100 us apart over a replicated naive streaming front-end, so
