@@ -3,6 +3,7 @@
 
     scripts/perf_ab.py PARENT_DIR CHANGE_DIR [--workloads batch-knn,...]
         [--pairs 10] [--seed-base 21] [--seconds 20] [--build-root DIR]
+        [--traced]
 
 For each workload, runs `python3 perfbench/run.py --workload W --seed S
 --seconds T --trace 0` in both checkouts for N pairs (seeds seed-base ..
@@ -16,6 +17,13 @@ the change / parent median ratio and the pairs the change won (direction
 from CHANGE_DIR/BENCHMARK.json). Exits 1 if any run fails or is incorrect,
 or if any model_*, warp_eff or serve_* value differs within a pair: those
 are modeled-clock figures, exact repeats for one seed.
+
+With --traced, each workload also gets one `--trace 1` run per side (seed
+seed-base, same --seconds), and the script exits 1 if any count-type
+per-layer metric differs between them: every metric in a count, bytes,
+ratio or fraction unit (knn.*, simt.* counts, exec.*, join.*, shard.*,
+serve.* and replica.* counts, ...) except the host-clock ratio
+obs.trace_overhead_frac. --pairs 0 runs only this check.
 """
 import argparse
 import json
@@ -26,12 +34,15 @@ import sys
 
 WORKLOADS = ("batch-knn", "allknn-join", "stream-churn")
 MODELED_PREFIXES = ("model_", "warp_eff", "serve_")
+COUNT_UNITS = ("count", "bytes", "ratio", "fraction")
+HOST_CLOCK_RATIOS = ("obs.trace_overhead_frac",)
 
 
-def run_side(checkout, build_dir, workload, seed, seconds):
+def run_side(checkout, build_dir, workload, seed, seconds, trace=False):
+    """One perfbench run; returns {metric: {"value": v, "unit": u}}."""
     env = dict(os.environ, CARGO_TARGET_DIR=build_dir)
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", "1" if trace else "0"]
     proc = subprocess.run(cmd, cwd=checkout, env=env, stdout=subprocess.PIPE,
                           stderr=subprocess.DEVNULL, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -40,7 +51,19 @@ def run_side(checkout, build_dir, workload, seed, seconds):
     result = json.loads(lines[-1])
     if not result.get("correct") or result.get("failed", 0) != 0:
         raise RuntimeError(f"{checkout}: {workload} seed {seed} answered incorrectly")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    return result["metrics"]
+
+
+def traced_check(sides, builds, workload, seed, seconds):
+    """Returns the count-type per-layer metrics that differ between sides."""
+    traced = {side: run_side(sides[side], builds[side], workload, seed, seconds, trace=True)
+              for side in ("parent", "change")}
+    p, c = traced["parent"], traced["change"]
+    counts = sorted(n for n, m in p.items()
+                    if m["unit"] in COUNT_UNITS and n not in HOST_CLOCK_RATIOS)
+    moved = [(n, p[n]["value"], c[n]["value"] if n in c else None) for n in counts
+             if n not in c or c[n]["value"] != p[n]["value"]]
+    return counts, moved
 
 
 def quartiles(values):
@@ -71,6 +94,8 @@ def main():
     ap.add_argument("--seed-base", type=int, default=21)
     ap.add_argument("--seconds", type=float, default=20)
     ap.add_argument("--build-root", help="put both CARGO_TARGET_DIRs under this directory")
+    ap.add_argument("--traced", action="store_true",
+                    help="also diff one --trace 1 run per side; exit 1 if a count moved")
     a = ap.parse_args()
 
     sides = {"parent": os.path.abspath(a.parent_dir), "change": os.path.abspath(a.change_dir)}
@@ -82,14 +107,27 @@ def main():
     better = directions(sides["change"])
     status = 0
     for workload in a.workloads.split(","):
+        if a.traced:
+            try:
+                counts, moved = traced_check(sides, builds, workload, a.seed_base, a.seconds)
+            except RuntimeError as e:
+                print(f"perf_ab: {e}", file=sys.stderr)
+                return 1
+            for name, pv, cv in moved:
+                print(f"TRACED MOVED {workload} seed {a.seed_base} {name}: {pv} -> {cv}")
+                status = 1
+            print(f"{workload} traced (seed {a.seed_base}): {len(counts) - len(moved)}/"
+                  f"{len(counts)} count-type per-layer metrics identical", flush=True)
+        if a.pairs < 1:
+            continue
         runs = {"parent": [], "change": []}
         for i in range(a.pairs):
             seed = a.seed_base + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
                 try:
-                    runs[side].append(run_side(sides[side], builds[side], workload, seed,
-                                               a.seconds))
+                    metrics = run_side(sides[side], builds[side], workload, seed, a.seconds)
+                    runs[side].append({name: m["value"] for name, m in metrics.items()})
                 except RuntimeError as e:
                     print(f"perf_ab: {e}", file=sys.stderr)
                     return 1

@@ -1,7 +1,9 @@
-// CRC32 (IEEE 802.3 polynomial, reflected, table-driven): the integrity
-// primitive behind the serialization envelope, per-node integrity words and
-// snapshot segment checksums. CRC32 detects every single-bit and single-byte
-// error, which is exactly the fault class the corruption fuzz tests sweep.
+// CRC32 (IEEE 802.3 polynomial, reflected, slicing-by-8): the integrity
+// primitive behind the serialization envelope, per-node integrity words, the
+// snapshot span-table word and the implicit layout's segment words. CRC32
+// detects every single-bit and single-byte error, which is exactly the fault
+// class the corruption fuzz tests sweep. Values equal the classic bytewise
+// table loop's (common_test pins them against it).
 #pragma once
 
 #include <cstddef>

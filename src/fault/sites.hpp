@@ -21,7 +21,7 @@ inline constexpr std::string_view kSiteEnvelopeByteflip = "io.envelope.byteflip"
 inline constexpr std::string_view kSiteNodeBoundsBitflip = "knn.node_bounds.bitflip";
 
 /// Corrupt one span of the traversal snapshot's arena table (simulates
-/// corruption of the frozen device arena, caught by segment checksums).
+/// corruption of the frozen device arena, caught by the span-table CRC32).
 inline constexpr std::string_view kSiteSnapshotSegment = "layout.snapshot.segment";
 
 /// Flip one bit of one escape index of the pointer-free implicit layout

@@ -27,10 +27,10 @@
 // address-based classifier sees descents as coalesced traffic. Only prune
 // jumps scatter.
 //
-// Integrity mirrors TraversalSnapshot: per-128-byte-segment CRC32 words over
-// the placement metadata *and the escape words* are sealed at construction;
-// verify() recomputes and compares, so a corrupted escape index (the
-// layout.implicit.escape_bitflip fault) is always caught before serving.
+// Integrity: per-128-byte-segment CRC32 words over the placement metadata
+// *and the escape words* are sealed at construction (and serialized with
+// the layout); verify() recomputes and compares, so a corrupted escape index
+// (the layout.implicit.escape_bitflip fault) is always caught before serving.
 #pragma once
 
 #include <cstdint>

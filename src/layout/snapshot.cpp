@@ -42,39 +42,28 @@ TraversalSnapshot::TraversalSnapshot(const sstree::SSTree& tree, std::size_t seg
   arena_bytes_ = cursor;
   PSB_ASSERT(order.size() + tree.leaves().size() == tree.num_nodes(),
              "placement order misses nodes");
-  segment_crcs_ = segment_checksums();
+  table_crc_ = table_crc();
 }
 
-std::vector<std::uint32_t> TraversalSnapshot::segment_checksums() const {
-  // One CRC word per 128-byte segment, folding in (node id, span) for every
-  // node whose span touches the segment. Any span mutation changes at least
-  // one word, so verify() detects arbitrary placement corruption.
-  std::vector<Crc32> accum(static_cast<std::size_t>(num_segments()));
-  for (NodeId id = 0; id < tree_->num_nodes(); ++id) {
-    const NodeSpan s = spans_[id];
-    if (s.bytes == 0) continue;
-    const std::uint64_t first = s.offset / segment_bytes_;
-    const std::uint64_t last = (s.end() - 1) / segment_bytes_;
-    for (std::uint64_t seg = first; seg <= last && seg < accum.size(); ++seg) {
-      Crc32& crc = accum[static_cast<std::size_t>(seg)];
-      crc.update_value(id);
-      crc.update_value(s.offset);
-      crc.update_value(s.bytes);
-    }
+std::uint32_t TraversalSnapshot::table_crc() const noexcept {
+  // One 12-byte little-endian record per node, (offset, bytes), in NodeId
+  // order: the fixed message the header's detection argument is about.
+  Crc32 crc;
+  for (const NodeSpan& s : spans_) {
+    unsigned char rec[12];
+    for (int b = 0; b < 8; ++b) rec[b] = static_cast<unsigned char>(s.offset >> (8 * b));
+    for (int b = 0; b < 4; ++b) rec[8 + b] = static_cast<unsigned char>(s.bytes >> (8 * b));
+    crc.update(rec, sizeof(rec));
   }
-  std::vector<std::uint32_t> out(accum.size());
-  for (std::size_t i = 0; i < accum.size(); ++i) out[i] = accum[i].value();
-  return out;
+  return crc.value();
 }
 
-bool TraversalSnapshot::verify() const noexcept {
-  return segment_checksums() == segment_crcs_;
-}
+bool TraversalSnapshot::verify() const noexcept { return table_crc() == table_crc_; }
 
 void TraversalSnapshot::corrupt(std::uint64_t payload) noexcept {
   if (spans_.empty()) return;
-  // Flip one bit of the victim's offset — any placement change alters the
-  // CRC of at least one segment the span maps to (or moves it elsewhere).
+  // Flip one bit of the victim's offset — a single-bit error in the sealed
+  // table message, which CRC32 always detects.
   NodeSpan& victim = spans_[static_cast<std::size_t>(payload % spans_.size())];
   fault::flip_bit(&victim.offset, sizeof(victim.offset), fault::mix(payload));
 }

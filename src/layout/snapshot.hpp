@@ -19,6 +19,14 @@
 // changes *where* bytes live, never how many a node is worth. FetchSession
 // (layout/fetch.hpp) maps spans onto the simt coalescing model's 128-byte
 // global-memory segments.
+//
+// Integrity contract: the constructor seals one CRC32 word over the span
+// table — each node's `offset` (8 bytes) then `bytes` (4 bytes),
+// little-endian, in NodeId order — and verify() recomputes it, O(nodes).
+// The table is the snapshot's only mutable placement state, every span
+// field maps to a fixed bit position of that message, and CRC32 detects
+// every single-bit error in a message of any length, so a one-bit flip of
+// any node's offset or size (what corrupt() injects) is always caught.
 #pragma once
 
 #include <cstdint>
@@ -76,10 +84,10 @@ class TraversalSnapshot {
   /// psb::InternalError on the first violation.
   void validate() const;
 
-  /// Integrity check: recompute the per-segment checksums over the span
-  /// table and compare them to the words sealed at construction. Returns
-  /// false when any segment diverged (a corrupted arena). Cheap relative to
-  /// a batch; the engine runs it before serving from the snapshot.
+  /// Integrity check: recompute the span-table CRC32 and compare it to the
+  /// word sealed at construction. Returns false when any span diverged (a
+  /// corrupted arena). O(nodes); the engines run it before every batch
+  /// served from the snapshot.
   bool verify() const noexcept;
 
   /// Deterministically corrupt one node span (seeded by `payload`) — the
@@ -97,17 +105,16 @@ class TraversalSnapshot {
   Stats stats() const;
 
  private:
-  std::vector<std::uint32_t> segment_checksums() const;
+  std::uint32_t table_crc() const noexcept;
 
   const sstree::SSTree* tree_;
   std::size_t segment_bytes_;
   std::vector<NodeSpan> spans_;  ///< indexed by NodeId
   std::uint64_t arena_bytes_ = 0;
   std::uint64_t leaf_region_offset_ = 0;
-  /// Per-segment CRC32 words over the placement metadata mapped into each
-  /// 128-byte segment, sealed at construction (the simulated analogue of
-  /// checksumming the frozen arena pages).
-  std::vector<std::uint32_t> segment_crcs_;
+  /// CRC32 over the span table, sealed at construction (the simulated
+  /// analogue of checksumming the frozen arena's placement metadata).
+  std::uint32_t table_crc_ = 0;
 };
 
 }  // namespace psb::layout

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "common/error.hpp"
@@ -55,6 +56,9 @@ constexpr std::string_view kEvCounter[kNumEv] = {
     "engine.shard.resume_reruns",      "engine.shard.resume_brute_fallbacks",
 };
 
+/// locator_ row of a dead point that compact() packed out of its shard.
+constexpr std::uint32_t kNoRow = std::numeric_limits<std::uint32_t>::max();
+
 }  // namespace
 
 /// One Hilbert range of the dataset: a private point copy, the shard's
@@ -67,12 +71,20 @@ struct ShardedEngine::Shard {
   std::vector<std::uint8_t> alive;
   std::size_t alive_count = 0;
   std::unique_ptr<sstree::SSTree> tree;  ///< null while the shard is empty
+  /// The tree's persistent online writer, created by its first write and
+  /// dropped with the tree (an Updater caches the tree's structure).
+  std::unique_ptr<sstree::Updater> updater;
   std::unique_ptr<layout::TraversalSnapshot> snapshot;
   bool snapshot_ok = false;
   std::unique_ptr<layout::ImplicitLayout> implicit;
   bool implicit_ok = false;
   Sphere bounds;              ///< covers every alive point (the scatter-order surface)
   std::size_t arena_bytes = 0;  ///< tree footprint, credited on a bound skip
+
+  sstree::Updater& writer() {
+    if (updater == nullptr) updater = std::make_unique<sstree::Updater>(tree.get());
+    return *updater;
+  }
 };
 
 ShardedEngine::ShardedEngine(const PointSet& data, ShardedEngineOptions opts)
@@ -128,7 +140,8 @@ const sstree::SSTree* ShardedEngine::shard_tree(std::size_t s) const {
   return shards_[s]->tree.get();
 }
 
-void ShardedEngine::rebuild_index(Shard& sh) {
+void ShardedEngine::drop_index(Shard& sh) const {
+  sh.updater.reset();
   sh.tree.reset();
   sh.snapshot.reset();
   sh.snapshot_ok = false;
@@ -136,6 +149,10 @@ void ShardedEngine::rebuild_index(Shard& sh) {
   sh.implicit_ok = false;
   sh.arena_bytes = 0;
   sh.bounds = Sphere{std::vector<Scalar>(dims_, 0), 0};
+}
+
+void ShardedEngine::rebuild_index(Shard& sh) {
+  drop_index(sh);
   if (sh.points.empty()) return;
 
   sstree::BuildOutput built = [&] {
@@ -202,7 +219,12 @@ void ShardedEngine::compact(Shard& sh, std::size_t shard_idx) {
   packed.reserve(sh.alive_count);
   to_global.reserve(sh.alive_count);
   for (std::size_t i = 0; i < sh.to_global.size(); ++i) {
-    if (!sh.alive[i]) continue;
+    if (!sh.alive[i]) {
+      // The row index is about to name another point: erase() of this dead
+      // id must keep reporting false.
+      locator_[sh.to_global[i]].second = kNoRow;
+      continue;
+    }
     const PointId local = packed.append(sh.points[i]);
     to_global.push_back(sh.to_global[i]);
     locator_[sh.to_global[i]] = {static_cast<std::uint32_t>(shard_idx),
@@ -483,7 +505,7 @@ PointId ShardedEngine::insert(std::span<const Scalar> p) {
   if (sh.tree == nullptr) {
     rebuild_index(sh);
   } else {
-    sstree::Updater updater(sh.tree.get());
+    sstree::Updater& updater = sh.writer();
     updater.insert(local);
     updater.commit();
     refresh_after_update(sh);
@@ -499,19 +521,14 @@ bool ShardedEngine::erase(PointId global_id) {
   if (global_id >= locator_.size()) return false;
   const auto [s, local] = locator_[global_id];
   Shard& sh = *shards_[s];
-  if (!sh.alive[local]) return false;
+  if (local == kNoRow || !sh.alive[local]) return false;
 
   if (sh.alive_count == 1) {
     // Last alive point: drop the index entirely (a tree cannot go empty
     // through commit()); the dead rows stay until a future insert compacts.
-    sh.tree.reset();
-    sh.snapshot.reset();
-    sh.snapshot_ok = false;
-    sh.implicit.reset();
-    sh.implicit_ok = false;
-    sh.arena_bytes = 0;
+    drop_index(sh);
   } else {
-    sstree::Updater updater(sh.tree.get());
+    sstree::Updater& updater = sh.writer();
     const bool was_indexed = updater.erase(local);
     PSB_ASSERT(was_indexed, "alive point missing from its shard index");
     updater.commit();

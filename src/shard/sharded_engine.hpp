@@ -25,7 +25,9 @@
 // events land in the engine.shard.* counters, and the recorded resume steps
 // feed the stream-overlap model (engine.shard.exec_* counters).
 //
-// Online updates route to the owning shard through sstree::Updater; the
+// Online updates route to the owning shard through that shard tree's
+// persistent sstree::Updater (one per tree, dropped whenever the tree is
+// rebuilt or dropped), so a write refits only the leaves it touched; the
 // optional LRU result cache (result_cache.hpp) is invalidated on every
 // insert/erase, so cached answers stay exact across mutations.
 #pragma once
@@ -102,6 +104,7 @@ class ShardedEngine {
  private:
   struct Shard;
 
+  void drop_index(Shard& sh) const;
   void rebuild_index(Shard& sh);
   void refresh_after_update(Shard& sh);
   void recompute_bounds(Shard& sh) const;

@@ -1,6 +1,7 @@
 #include "sstree/update.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "common/error.hpp"
 #include "sstree/detail/topdown_ops.hpp"
@@ -12,30 +13,30 @@ Updater::Updater(SSTree* tree) : tree_(tree) {
   PSB_REQUIRE(tree->bounds_mode() == BoundsMode::kSphere,
               "online updates support sphere bounds");
   root_ = tree->root();
-}
-
-void Updater::ensure_membership_map() {
-  if (!map_dirty_) return;
-  leaf_of_.clear();
+  leaf_of_.assign(tree->data().size(), kInvalidNode);
   // Walk the *live* structure from the root (the arena may hold nodes that a
   // previous commit has not compacted away yet).
   std::vector<NodeId> stack{root_};
   while (!stack.empty()) {
     const NodeId id = stack.back();
     stack.pop_back();
-    const Node& n = tree_->node(id);
-    if (n.is_leaf()) {
-      for (const PointId p : n.points) leaf_of_[p] = id;
-    } else {
-      for (const NodeId c : n.children) stack.push_back(c);
-    }
+    const Node& n = tree->node(id);
+    for (const PointId p : n.points) leaf_of_[p] = id;
+    for (const NodeId c : n.children) stack.push_back(c);
   }
-  map_dirty_ = false;
+}
+
+void Updater::mark_dirty(NodeId leaf) {
+  if (leaf >= dirty_.size()) dirty_.resize(tree_->num_nodes(), 0);
+  dirty_[leaf] = 1;
 }
 
 void Updater::insert(PointId pid) {
   PSB_REQUIRE(pid < tree_->data().size(), "point id out of range");
   const auto p = tree_->data()[pid];
+  require_finite(p, ("point " + std::to_string(pid)).c_str());
+  if (pid >= leaf_of_.size()) leaf_of_.resize(tree_->data().size(), kInvalidNode);
+  PSB_REQUIRE(leaf_of_[pid] == kInvalidNode, "point is already indexed");
 
   NodeId cur = root_;
   for (;;) {
@@ -64,24 +65,31 @@ void Updater::insert(PointId pid) {
     cur = best;
   }
   tree_->node(cur).points.push_back(pid);
-  if (!map_dirty_) leaf_of_[pid] = cur;
+  leaf_of_[pid] = cur;
+  mark_dirty(cur);
   if (tree_->node(cur).points.size() > tree_->degree()) {
+    const NodeId first_new = static_cast<NodeId>(tree_->num_nodes());
     detail::split_node(*tree_, cur, root_, &metrics_);
-    map_dirty_ = true;  // the split moved points between leaves
+    // The split moved half of cur's points into a new leaf sibling; any
+    // other new nodes are internal (parent splits, a new root).
+    for (NodeId id = first_new; id < tree_->num_nodes(); ++id) {
+      if (!tree_->node(id).is_leaf()) continue;
+      for (const PointId moved : tree_->node(id).points) leaf_of_[moved] = id;
+      mark_dirty(id);
+    }
   }
   ++pending_;
 }
 
 bool Updater::erase(PointId pid) {
-  ensure_membership_map();
-  const auto it = leaf_of_.find(pid);
-  if (it == leaf_of_.end()) return false;
+  if (pid >= leaf_of_.size() || leaf_of_[pid] == kInvalidNode) return false;
 
-  Node& leaf = tree_->node(it->second);
+  Node& leaf = tree_->node(leaf_of_[pid]);
   auto pos = std::find(leaf.points.begin(), leaf.points.end(), pid);
   PSB_ASSERT(pos != leaf.points.end(), "membership map out of sync");
   leaf.points.erase(pos);
-  leaf_of_.erase(it);
+  leaf_of_[pid] = kInvalidNode;
+  mark_dirty(leaf.id);
   metrics_.bytes_random += tree_->node_byte_size(leaf);
   metrics_.node_fetches += 1;
   metrics_.fetches_random += 1;
@@ -110,7 +118,7 @@ void Updater::commit() {
   // Compact: rebuild the arena with only the nodes reachable from the root,
   // refitting spheres bottom-up as we go.
   SSTree fresh(&tree_->data(), tree_->degree(), tree_->bounds_mode());
-  std::unordered_map<NodeId, NodeId> remap;
+  std::vector<NodeId> remap(tree_->num_nodes(), kInvalidNode);
   // Deepest-first copy so children exist (and are refit) before parents.
   std::vector<NodeId> order;
   std::vector<NodeId> stack{root_};
@@ -122,22 +130,29 @@ void Updater::commit() {
   }
   std::reverse(order.begin(), order.end());
   for (const NodeId old_id : order) {
-    const Node& old_node = tree_->node(old_id);
+    Node& old_node = tree_->node(old_id);
     const NodeId new_id = fresh.add_node(old_node.level);
     Node& n = fresh.node(new_id);
-    n.points = old_node.points;
+    n.points = std::move(old_node.points);
     n.children.reserve(old_node.children.size());
-    for (const NodeId c : old_node.children) n.children.push_back(remap.at(c));
-    detail::refit_node(fresh, n);
+    for (const NodeId c : old_node.children) n.children.push_back(remap[c]);
+    const bool dirty = old_id < dirty_.size() && dirty_[old_id] != 0;
+    if (n.is_leaf() && !refit_all_ && !dirty) {
+      n.sphere = std::move(old_node.sphere);  // == ritter_points over unchanged points
+    } else {
+      detail::refit_node(fresh, n);
+    }
+    for (const PointId p : n.points) leaf_of_[p] = new_id;
     remap[old_id] = new_id;
   }
-  fresh.set_root(remap.at(root_));
+  fresh.set_root(remap[root_]);
   fresh.finalize();
 
   *tree_ = std::move(fresh);
   root_ = tree_->root();
   pending_ = 0;
-  map_dirty_ = true;
+  refit_all_ = false;
+  dirty_.assign(tree_->num_nodes(), 0);
 }
 
 }  // namespace psb::sstree

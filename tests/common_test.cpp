@@ -1,11 +1,15 @@
 // Unit tests for psb::common — geometry kernels, PointSet, KnnHeap, errors.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string_view>
+#include <vector>
 
+#include "common/checksum.hpp"
 #include "common/error.hpp"
 #include "common/geometry.hpp"
 #include "common/points.hpp"
@@ -222,6 +226,58 @@ TEST(Errors, MacrosCarryContext) {
     EXPECT_NE(std::string(e.what()).find("1 == 2"), std::string::npos);
   }
   EXPECT_THROW(PSB_ASSERT(false, "boom"), InternalError);
+}
+
+/// Reference CRC32: the classic one-byte-per-step table loop, with its
+/// table derived bit by bit.
+std::uint32_t bytewise_crc32(const unsigned char* p, std::size_t n, std::uint32_t seed) {
+  std::uint32_t table[256];
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int bit = 0; bit < 8; ++bit) c = (c & 1U) != 0 ? (c >> 1) ^ 0xEDB88320U : c >> 1;
+    table[i] = c;
+  }
+  std::uint32_t c = seed ^ 0xFFFFFFFFU;
+  for (std::size_t i = 0; i < n; ++i) c = table[(c ^ p[i]) & 0xFFU] ^ (c >> 8);
+  return c ^ 0xFFFFFFFFU;
+}
+
+TEST(Crc32, CheckValue) {
+  EXPECT_EQ(crc32(std::string_view("123456789")), 0xCBF43926U);
+  EXPECT_EQ(crc32(nullptr, 0), 0U);
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  Rng rng(29);
+  std::vector<unsigned char> buf(300 + 8);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng.next_below(256));
+  for (std::size_t align = 0; align < 8; ++align) {
+    const unsigned char* p = buf.data() + align;
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const auto seed = static_cast<std::uint32_t>(rng.next_u64());
+      ASSERT_EQ(crc32(p, len), bytewise_crc32(p, len, 0)) << "align " << align << " len " << len;
+      ASSERT_EQ(crc32(p, len, seed), bytewise_crc32(p, len, seed))
+          << "align " << align << " len " << len << " seed " << seed;
+    }
+  }
+}
+
+TEST(Crc32, ChainedCallsEqualOneCall) {
+  Rng rng(31);
+  std::vector<unsigned char> buf(300);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng.next_below(256));
+  const std::uint32_t whole = bytewise_crc32(buf.data(), buf.size(), 0);
+  for (std::size_t cut = 0; cut <= buf.size(); ++cut) {
+    const std::uint32_t head = crc32(buf.data(), cut);
+    EXPECT_EQ(crc32(buf.data() + cut, buf.size() - cut, head), whole) << "cut " << cut;
+  }
+  Crc32 acc;
+  for (std::size_t at = 0; at < buf.size();) {
+    const std::size_t step = std::min<std::size_t>(1 + rng.next_below(17), buf.size() - at);
+    acc.update(buf.data() + at, step);
+    at += step;
+  }
+  EXPECT_EQ(acc.value(), whole);
 }
 
 }  // namespace

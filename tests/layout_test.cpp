@@ -193,5 +193,43 @@ TEST(TraversalSnapshot, ArenaNeverExceedsPointerBytesForFullWalk) {
   EXPECT_LT(segment_total - snap.arena_bytes(), snap.segment_bytes());
 }
 
+TEST(TraversalSnapshot, VerifyCatchesEverySingleBitFlipOfTheSpanTable) {
+  // Exhaustive on a small tree: every bit of every node's offset and size.
+  // The test flips bits of the snapshot's own (non-const) span storage
+  // through its read-only view, as a corrupted arena would.
+  const PointSet data = data::make_uniform(4, 300, 100.0, /*seed=*/5);
+  const sstree::SSTree tree = build_tree(data, 16);
+  layout::TraversalSnapshot snap(tree);
+  ASSERT_TRUE(snap.verify());
+  auto* spans = const_cast<layout::NodeSpan*>(snap.spans().data());
+  for (NodeId id = 0; id < tree.num_nodes(); ++id) {
+    for (int bit = 0; bit < 64; ++bit) {
+      spans[id].offset ^= std::uint64_t{1} << bit;
+      EXPECT_FALSE(snap.verify()) << "node " << id << " offset bit " << bit;
+      spans[id].offset ^= std::uint64_t{1} << bit;
+    }
+    for (int bit = 0; bit < 32; ++bit) {
+      spans[id].bytes ^= std::uint32_t{1} << bit;
+      EXPECT_FALSE(snap.verify()) << "node " << id << " bytes bit " << bit;
+      spans[id].bytes ^= std::uint32_t{1} << bit;
+    }
+  }
+  EXPECT_TRUE(snap.verify());
+}
+
+TEST(TraversalSnapshot, VerifyCatchesEveryCorruptPayload) {
+  const PointSet data = data::make_uniform(3, 2000, 100.0, /*seed=*/6);
+  const sstree::SSTree tree = build_tree(data, 16);
+  const layout::TraversalSnapshot clean(tree);
+  ASSERT_TRUE(clean.verify());
+  Rng rng(7);
+  for (int i = 0; i < 1000; ++i) {
+    const std::uint64_t payload = i < 100 ? static_cast<std::uint64_t>(i) : rng.next_u64();
+    layout::TraversalSnapshot snap = clean;
+    snap.corrupt(payload);
+    EXPECT_FALSE(snap.verify()) << "payload " << payload;
+  }
+}
+
 }  // namespace
 }  // namespace psb

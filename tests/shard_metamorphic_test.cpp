@@ -232,5 +232,69 @@ TEST(ShardMetamorphicTest, UpdateChurnStaysExactAcrossShardCounts) {
   }
 }
 
+TEST(ShardMetamorphicTest, DrainedEngineRefillsExactly) {
+  // Churn a two-shard engine, erase every point (each shard's last erase
+  // drops its tree and its writer), then refill. The first refill insert
+  // compacts shard 0 and rebuilds its tree; every later write goes through
+  // that tree's new writer. The refill outgrows shard 0's old row count, so
+  // a writer kept from the dropped tree would meet its own stale point map.
+  // After every write batch the answers equal the oracle over the live
+  // points and every shard tree validates.
+  PointSet data = test::small_clustered(3, 240, 77);
+  shard::ShardedEngineOptions opts = cached_options(0);
+  opts.num_shards = 2;
+  opts.degree = 4;
+  shard::ShardedEngine eng(data, opts);
+  std::vector<std::uint8_t> alive(data.size(), 1);
+  Rng rng(78);
+  const PointSet queries = test::random_queries(3, 8, 79);
+
+  const auto check = [&](const char* label) {
+    const knn::BatchResult res = eng.run(queries);
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      if (eng.size() == 0) {
+        EXPECT_TRUE(res.queries[q].neighbors.empty()) << label;
+        continue;
+      }
+      expect_bit_identical(res.queries[q].neighbors,
+                           oracle_knn(data, queries[q], opts.engine.gpu.k, &alive), label, q);
+    }
+    for (std::size_t s = 0; s < eng.num_shards(); ++s) {
+      if (eng.shard_tree(s) != nullptr) eng.shard_tree(s)->validate(/*require_complete=*/false);
+    }
+  };
+  const auto insert_random = [&] {
+    std::vector<Scalar> p(3);
+    for (auto& v : p) v = static_cast<Scalar>(rng.uniform(0.0, 1000.0));
+    EXPECT_EQ(eng.insert(p), data.size());
+    data.append(p);
+    alive.push_back(1);
+  };
+  const auto erase_random = [&] {
+    const PointId id = static_cast<PointId>(rng.next_below(alive.size()));
+    EXPECT_EQ(eng.erase(id), alive[id] == 1);
+    alive[id] = 0;
+  };
+
+  for (int batch = 0; batch < 10; ++batch) {
+    for (int w = 0; w < 4; ++w) rng.next_below(2) == 0 ? insert_random() : erase_random();
+    check("churn");
+  }
+  for (PointId id = 0; id < alive.size(); ++id) {
+    if (!alive[id]) continue;
+    ASSERT_TRUE(eng.erase(id));
+    alive[id] = 0;
+    if (id % 16 == 0) check("drain");
+  }
+  ASSERT_EQ(eng.size(), 0u);
+  check("drained");
+  for (int batch = 0; batch < 40; ++batch) {
+    for (int w = 0; w < 5; ++w) insert_random();
+    if (batch % 2 == 1) erase_random();
+    check("refill");
+  }
+  EXPECT_GT(eng.shard_size(0), 150u);
+}
+
 }  // namespace
 }  // namespace psb
