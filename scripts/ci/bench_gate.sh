@@ -25,7 +25,6 @@ cp "$BUILD_DIR"/tools/BENCH_gate_small.json "$ARTIFACT_DIR"/
 cp "$BUILD_DIR"/tools/BENCH_gate_noaa.json "$ARTIFACT_DIR"/
 cp "$BUILD_DIR"/tools/BENCH_gate_implicit.json "$ARTIFACT_DIR"/
 cp "$BUILD_DIR"/tools/BENCH_gate_stream.json "$ARTIFACT_DIR"/
-cp "$BUILD_DIR"/tools/BENCH_gate_exec.json "$ARTIFACT_DIR"/
 cp "$BUILD_DIR"/tools/BENCH_gate_replica.json "$ARTIFACT_DIR"/
 cp "$BUILD_DIR"/tools/BENCH_gate_join.json "$ARTIFACT_DIR"/
 

@@ -27,7 +27,7 @@ echo "== large-scale bench: ${POINTS} noaa readings, ${QUERIES} queries =="
 time "$BUILD_DIR"/tools/psbtool bench --type noaa \
   --points "$POINTS" --queries "$QUERIES" --k 16 --degree 128 \
   --algos psb,branch_and_bound,stackless_skip \
-  --variants base,snapshot,implicit,implicit_stackless \
+  --variants base,snapshot,implicit \
   --construction-points "$POINTS" --construction-degree 128 \
   --construction-budget-ms 600000 \
   --out "$ARTIFACT_DIR"/BENCH_large_implicit.json

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <utility>
 
 namespace psb {
 
@@ -27,25 +28,37 @@ PointSet PointSet::subset(std::span<const PointId> ids) const {
   return out;
 }
 
-void require_finite(const PointSet& points, const char* what) {
+std::string describe_non_finite(const PointSet& points, const char* what) {
   for (std::size_t i = 0; i < points.size(); ++i) {
     const std::span<const Scalar> p = points[i];
     for (std::size_t t = 0; t < p.size(); ++t) {
       if (std::isfinite(p[t])) continue;
       std::ostringstream os;
       os << what << ' ' << i << " coordinate " << t << " is non-finite (" << p[t] << ')';
-      throw InvalidArgument(os.str());
+      return os.str();
     }
   }
+  return {};
 }
 
-void require_finite(std::span<const Scalar> point, const char* what) {
+std::string describe_non_finite(std::span<const Scalar> point, const char* what) {
   for (std::size_t t = 0; t < point.size(); ++t) {
     if (std::isfinite(point[t])) continue;
     std::ostringstream os;
     os << what << " coordinate " << t << " is non-finite (" << point[t] << ')';
-    throw InvalidArgument(os.str());
+    return os.str();
   }
+  return {};
+}
+
+void require_finite(const PointSet& points, const char* what) {
+  std::string err = describe_non_finite(points, what);
+  if (!err.empty()) throw InvalidArgument(std::move(err));
+}
+
+void require_finite(std::span<const Scalar> point, const char* what) {
+  std::string err = describe_non_finite(point, what);
+  if (!err.empty()) throw InvalidArgument(std::move(err));
 }
 
 }  // namespace psb

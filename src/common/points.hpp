@@ -5,6 +5,7 @@
 #pragma once
 
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -59,14 +60,23 @@ class PointSet {
   std::vector<Scalar> data_;
 };
 
-/// Throw InvalidArgument naming the first point of `points` with a NaN or
-/// infinite coordinate, as "<what> <index> coordinate <t> ...". The tree
-/// builders and the query entry points call it: the traversals assume
-/// finite distances.
+/// Describe the first point of `points` with a NaN or infinite coordinate,
+/// as "<what> <index> coordinate <t> is non-finite (<value>)"; empty when
+/// every coordinate is finite.
+std::string describe_non_finite(const PointSet& points, const char* what);
+
+/// Describe the first NaN or infinite coordinate of one point, as
+/// "<what> coordinate <t> is non-finite (<value>)"; empty when all are finite.
+std::string describe_non_finite(std::span<const Scalar> point, const char* what);
+
+/// Throw InvalidArgument with describe_non_finite(points, what) unless it is
+/// empty. The tree builders and the query entry points call it: the
+/// traversals assume finite distances. (The loaders reject the same input as
+/// CorruptIndex.)
 void require_finite(const PointSet& points, const char* what);
 
-/// Throw InvalidArgument naming the first NaN or infinite coordinate of one
-/// point, as "<what> coordinate <t> ...".
+/// Throw InvalidArgument with describe_non_finite(point, what) unless it is
+/// empty.
 void require_finite(std::span<const Scalar> point, const char* what);
 
 }  // namespace psb

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <string>
 #include <vector>
 
 #include "common/envelope.hpp"
@@ -45,7 +46,13 @@ PointSet parse_binary(std::string_view file_bytes, const std::string& label) {
   if (raw.size() != static_cast<std::size_t>(count) * dims) {
     throw CorruptIndex(label + ": coordinate count disagrees with the header");
   }
-  return PointSet(dims, std::move(raw));
+  PointSet points(dims, std::move(raw));
+  // The builders and engines reject non-finite coordinates; a stored one
+  // can only come from a damaged or foreign file.
+  if (std::string err = describe_non_finite(points, "point"); !err.empty()) {
+    throw CorruptIndex(label + ": " + err);
+  }
+  return points;
 }
 
 PointSet read_binary(const std::string& path) {

@@ -16,7 +16,6 @@
 #include "knn/branch_and_bound.hpp"
 #include "knn/brute_force.hpp"
 #include "knn/detail/traversal_common.hpp"
-#include "knn/implicit_stackless.hpp"
 #include "knn/psb.hpp"
 #include "knn/stackless_baselines.hpp"
 #include "knn/task_parallel_sstree.hpp"
@@ -35,7 +34,6 @@ std::string_view algorithm_name(Algorithm a) noexcept {
     case Algorithm::kStacklessSkip: return "stackless_skip";
     case Algorithm::kBruteForce: return "brute_force";
     case Algorithm::kTaskParallel: return "task_parallel_sstree";
-    case Algorithm::kImplicitStackless: return "implicit_stackless";
   }
   return "unknown";
 }
@@ -43,8 +41,7 @@ std::string_view algorithm_name(Algorithm a) noexcept {
 Algorithm parse_algorithm(std::string_view name) {
   for (Algorithm a : {Algorithm::kPsb, Algorithm::kBestFirst, Algorithm::kBranchAndBound,
                       Algorithm::kStacklessRestart, Algorithm::kStacklessSkip,
-                      Algorithm::kBruteForce, Algorithm::kTaskParallel,
-                      Algorithm::kImplicitStackless}) {
+                      Algorithm::kBruteForce, Algorithm::kTaskParallel}) {
     if (algorithm_name(a) == name) return a;
   }
   throw InvalidArgument("unknown algorithm name: " + std::string(name));
@@ -108,8 +105,8 @@ knn::QueryResult run_pass(Algorithm algo, const sstree::SSTree& tree,
     events |= kPassDeadlineCut;
   }
 
-  // One attempt as a resumable executor (src/exec/). The stack-free walkers
-  // run as native state machines that yield at every leaf reduction; every
+  // One attempt as a resumable executor (src/exec/). The stack-free sweep
+  // runs as a native state machine that yields at every leaf reduction; every
   // other algorithm runs its run-to-completion call behind the one-step
   // LoopExecutor adapter (no yield points, no modeled overlap — but the same
   // exec.resume fault boundary). A completed attempt appends its resume
@@ -129,21 +126,15 @@ knn::QueryResult run_pass(Algorithm algo, const sstree::SSTree& tree,
         tp.initial_prune_bound = gpu.initial_prune_bound;
         return knn::task_parallel_sstree_query(tree, query, tp, m);
       }
-      case Algorithm::kStacklessSkip:
-      case Algorithm::kImplicitStackless: break;  // native executors
+      case Algorithm::kStacklessSkip: break;  // native executor
     }
     throw InternalError("run_pass: no loop form for " + std::string(algorithm_name(algo)));
   };
   const auto attempt = [&] {
     knn::QueryResult res;
     std::unique_ptr<exec::Executor> ex;
-    if (algo == Algorithm::kImplicitStackless && gpu.implicit != nullptr) {
-      ex = exec::make_implicit_stackless_executor(tree, query, gpu, m, res);
-    } else if (algo == Algorithm::kStacklessSkip || algo == Algorithm::kImplicitStackless) {
-      // With the implicit layout gone (verify() failed), the skip-pointer
-      // twin runs the identical preorder sweep on the pointer path — a
-      // typed, exact fallback the caller's arena gate counts.
-      ex = exec::make_skip_pointer_executor(tree, query, gpu, m, res);
+    if (algo == Algorithm::kStacklessSkip) {
+      ex = exec::make_stackless_skip_executor(tree, query, gpu, m, res);
     } else {
       ex = exec::make_loop_executor([&] { res = loop_pass(); }, gpu.device, m,
                                     block_threads_for(algo, tree.degree(), gpu));

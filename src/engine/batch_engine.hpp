@@ -52,7 +52,6 @@ enum class Algorithm {
   kStacklessSkip,
   kBruteForce,
   kTaskParallel,
-  kImplicitStackless,
 };
 
 /// Stable name used for traces, registry counters and CLI flags.
@@ -145,12 +144,12 @@ struct BatchEngineOptions {
   std::size_t num_threads = 1;
   /// Node-arena serving mode. kSnapshot/kImplicit build the named arena at
   /// engine construction and route every node fetch through it (segment-
-  /// granular byte accounting instead of raw node bytes). The implicit arena
-  /// is required by Algorithm::kImplicitStackless and is built for it
-  /// regardless of this field; for link-walking algorithms kImplicit is an
-  /// accounting ablation (same traversal, pointer-free record sizes). An
-  /// arena that fails verify() at serve time degrades to the pointer path
-  /// with the `engine.layout.fallback` counter — never silently.
+  /// granular byte accounting instead of raw node bytes). On kImplicit,
+  /// kStacklessSkip walks the arena's escape indices; for the link-walking
+  /// algorithms it is an accounting ablation (same traversal, pointer-free
+  /// record sizes). An arena that fails verify() at serve time degrades to
+  /// the pointer path (kStacklessSkip back to its skip links) with the
+  /// `engine.layout.fallback` counter — never silently.
   NodeLayout layout = NodeLayout::kPointer;
   /// Hilbert-sort each batch before execution so spatially-close queries run
   /// back to back. Results and traces are re-indexed to the caller's order —
@@ -168,9 +167,7 @@ struct BatchEngineOptions {
   double deadline_ms = 0;
 
   bool needs_snapshot() const noexcept { return layout == NodeLayout::kSnapshot; }
-  bool needs_implicit_layout() const noexcept {
-    return layout == NodeLayout::kImplicit || algorithm == Algorithm::kImplicitStackless;
-  }
+  bool needs_implicit_layout() const noexcept { return layout == NodeLayout::kImplicit; }
 };
 
 class BatchEngine {
@@ -184,8 +181,7 @@ class BatchEngine {
   /// The engine-owned snapshot (null unless the layout is kSnapshot).
   const layout::TraversalSnapshot* snapshot() const noexcept { return snapshot_.get(); }
 
-  /// The engine-owned implicit layout (null unless the layout is kImplicit
-  /// or the algorithm is kImplicitStackless).
+  /// The engine-owned implicit layout (null unless the layout is kImplicit).
   const layout::ImplicitLayout* implicit_layout() const noexcept { return implicit_.get(); }
 
   /// Answer a batch. Emits per-query traces to the active obs session (if

@@ -1,16 +1,13 @@
 #include "exec/executor.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <utility>
 
 #include "fault/fault.hpp"
 #include "fault/sites.hpp"
 #include "knn/detail/traversal_common.hpp"
 #include "knn/shared_heap.hpp"
-#include "layout/fetch.hpp"
 #include "layout/implicit.hpp"
-#include "sstree/integrity.hpp"
 
 namespace psb::exec {
 namespace {
@@ -38,22 +35,32 @@ void record_step(std::vector<simt::StepPhase>& steps, const simt::DeviceSpec& de
 }
 
 // ---------------------------------------------------------------------------
-// Skip-pointer sweep (suspendable form of knn::skip_pointer_query)
+// Stack-free preorder sweep (suspendable form of knn::skip_pointer_query)
 // ---------------------------------------------------------------------------
 
-class SkipPointerExecutor final : public Executor {
+static_assert(layout::ImplicitLayout::kInvalidSlot == kInvalidNode,
+              "one end-of-sweep sentinel for both cursors");
+
+/// One rope sweep whose cursor follows the layout: over the implicit arena it
+/// is a slot (descend to slot + 1, escape via the precomputed escape index),
+/// otherwise a node id (descend to the first child, escape via the Smits'98
+/// skip link). The escape table is the preorder image of the skip chain, so
+/// both visit the same nodes in the same order; fetches are charged through
+/// SnapshotFetch either way.
+class StacklessSkipExecutor final : public Executor {
  public:
-  SkipPointerExecutor(const sstree::SSTree& tree, std::span<const Scalar> query,
-                      const GpuKnnOptions& opts, simt::Metrics* metrics, QueryResult& out)
+  StacklessSkipExecutor(const sstree::SSTree& tree, std::span<const Scalar> query,
+                        const GpuKnnOptions& opts, simt::Metrics* metrics, QueryResult& out)
       : tree_(tree),
         q_(query),
         opts_(opts),
+        lay_(opts.implicit),
         metrics_(metrics != nullptr ? metrics : &local_),
         block_(opts.device, knn::detail::resolve_block_threads(opts, tree.degree()), metrics_),
         out_(out),
         list_(block_, std::min(opts.k, tree.data().size()), opts.spill_heap_to_global),
         snap_(tree, opts),
-        cur_(tree.root()) {
+        cur_(lay_ != nullptr ? 0 : tree.root()) {  // the root is always slot 0
     knn::detail::seed_shared_bound(list_, opts_);
     ++out_.stats.restarts;  // one preorder sweep from the root
   }
@@ -69,10 +76,11 @@ class SkipPointerExecutor final : public Executor {
         out_.budget_exhausted = true;
         break;
       }
-      const sstree::Node& n = tree_.node(cur_);
+      const sstree::Node& n = tree_.node(lay_ != nullptr ? lay_->node_at(cur_) : cur_);
       // Consecutive leaves are address-sequential; everything else in the
       // forward sweep is a dependent jump (same classification as the
-      // run-to-completion loop).
+      // run-to-completion loop). An arena session classifies by address
+      // instead: slot -> slot+1 descents continue the preorder stream.
       const bool sequential =
           n.is_leaf() && static_cast<std::int64_t>(n.leaf_id) == last_fetched_leaf_ + 1;
       knn::detail::fetch_node(block_, tree_, n,
@@ -84,7 +92,7 @@ class SkipPointerExecutor final : public Executor {
       const Scalar mind = mindist(q_, n.sphere);
       block_.par_for(1, tree_.dims() * 3 + 2, [](std::size_t) {});
       if (!(mind < list_.pruning_distance())) {
-        cur_ = n.skip;
+        cur_ = escape(n);
         ++st.backtracks;
         continue;
       }
@@ -93,12 +101,12 @@ class SkipPointerExecutor final : public Executor {
         pre_leaf = *metrics_;  // fetch phase ends; the leaf reduction is compute
         st.points_examined += n.points.size();
         st.heap_inserts += list_.scan_leaf(n, q_);
-        cur_ = n.skip;
+        cur_ = escape(n);
         ++st.leaf_scans;
         yielded = true;  // suspend after the leaf reduction
         break;
       }
-      cur_ = n.children.front();
+      cur_ = lay_ != nullptr ? cur_ + 1 : n.children.front();  // first child
     }
     const simt::Metrics end = *metrics_;
     record_step(steps_, opts_.device, block_.threads(), step_start,
@@ -112,9 +120,15 @@ class SkipPointerExecutor final : public Executor {
   }
 
  private:
+  /// The next preorder position with `n`'s subtree skipped.
+  std::uint32_t escape(const sstree::Node& n) const {
+    return lay_ != nullptr ? lay_->escape(cur_) : n.skip;
+  }
+
   const sstree::SSTree& tree_;
   std::span<const Scalar> q_;
   const GpuKnnOptions& opts_;
+  const layout::ImplicitLayout* lay_;
   simt::Metrics local_;
   simt::Metrics* metrics_;
   simt::Block block_;
@@ -122,98 +136,7 @@ class SkipPointerExecutor final : public Executor {
   SharedKnnList list_;
   knn::detail::SnapshotFetch snap_;
   std::int64_t last_fetched_leaf_ = -2;
-  NodeId cur_;
-};
-
-// ---------------------------------------------------------------------------
-// Implicit escape-index walk (suspendable form of knn::implicit_stackless_query)
-// ---------------------------------------------------------------------------
-
-class ImplicitStacklessExecutor final : public Executor {
- public:
-  ImplicitStacklessExecutor(const sstree::SSTree& tree, std::span<const Scalar> query,
-                            const GpuKnnOptions& opts, simt::Metrics* metrics, QueryResult& out)
-      : tree_(tree),
-        q_(query),
-        opts_(opts),
-        lay_(*opts.implicit),
-        metrics_(metrics != nullptr ? metrics : &local_),
-        block_(opts.device, knn::detail::resolve_block_threads(opts, tree.degree()), metrics_),
-        out_(out),
-        list_(block_, std::min(opts.k, tree.data().size()), opts.spill_heap_to_global) {
-    knn::detail::seed_shared_bound(list_, opts_);
-    session_ = opts_.fetch_session;
-    if (session_ == nullptr) {
-      own_.emplace(lay_);
-      session_ = &*own_;
-    }
-    session_->begin_query();
-    ++out_.stats.restarts;  // one preorder sweep from the root (slot 0)
-  }
-
-  bool resume() override {
-    if (finished_) return false;
-    knn::TraversalStats& st = out_.stats;
-    const simt::Metrics step_start = *metrics_;
-    simt::Metrics pre_leaf = step_start;
-    bool yielded = false;
-    while (slot_ != layout::ImplicitLayout::kInvalidSlot) {
-      if (knn::detail::budget_exhausted(opts_, st)) {
-        out_.budget_exhausted = true;
-        break;
-      }
-      const sstree::Node& n = tree_.node(lay_.node_at(slot_));
-      // Same integrity guard as the run-to-completion loop: throws
-      // psb::DataFault on a corrupted bound word.
-      if (fault::enabled()) sstree::verify_node_integrity(n);
-      // The session classifies by address: slot -> slot+1 descents continue
-      // the preorder stream; only escape jumps scatter.
-      session_->fetch(block_, slot_);
-      ++st.nodes_visited;
-
-      const Scalar mind = mindist(q_, n.sphere);
-      block_.par_for(1, tree_.dims() * 3 + 2, [](std::size_t) {});
-      if (!(mind < list_.pruning_distance())) {
-        slot_ = lay_.escape(slot_);
-        ++st.backtracks;
-        continue;
-      }
-      if (n.is_leaf()) {
-        ++st.leaves_visited;
-        pre_leaf = *metrics_;  // fetch phase ends; the leaf reduction is compute
-        st.points_examined += n.points.size();
-        st.heap_inserts += list_.scan_leaf(n, q_);
-        slot_ = lay_.escape(slot_);
-        ++st.leaf_scans;
-        yielded = true;  // suspend after the leaf reduction
-        break;
-      }
-      slot_ = slot_ + 1;  // first child: index arithmetic, no pointer
-    }
-    const simt::Metrics end = *metrics_;
-    record_step(steps_, opts_.device, block_.threads(), step_start,
-                yielded ? pre_leaf : end, end);
-    if (!yielded || slot_ == layout::ImplicitLayout::kInvalidSlot) {
-      finished_ = true;
-      out_.neighbors = list_.sorted();
-      return false;
-    }
-    return true;
-  }
-
- private:
-  const sstree::SSTree& tree_;
-  std::span<const Scalar> q_;
-  const GpuKnnOptions& opts_;
-  const layout::ImplicitLayout& lay_;
-  simt::Metrics local_;
-  simt::Metrics* metrics_;
-  simt::Block block_;
-  QueryResult& out_;
-  SharedKnnList list_;
-  std::optional<layout::FetchSession> own_;
-  layout::FetchSession* session_ = nullptr;
-  std::uint32_t slot_ = 0;  // root is always slot 0
+  std::uint32_t cur_;  ///< slot on the implicit arena, else node id
 };
 
 // ---------------------------------------------------------------------------
@@ -249,27 +172,14 @@ class LoopExecutor final : public Executor {
 
 }  // namespace
 
-std::unique_ptr<Executor> make_skip_pointer_executor(const sstree::SSTree& tree,
-                                                     std::span<const Scalar> query,
-                                                     const GpuKnnOptions& opts,
-                                                     simt::Metrics* metrics,
-                                                     knn::QueryResult& out) {
+std::unique_ptr<Executor> make_stackless_skip_executor(const sstree::SSTree& tree,
+                                                       std::span<const Scalar> query,
+                                                       const GpuKnnOptions& opts,
+                                                       simt::Metrics* metrics,
+                                                       knn::QueryResult& out) {
   PSB_REQUIRE(opts.k > 0, "k must be > 0");
   PSB_REQUIRE(query.size() == tree.dims(), "query dimensionality mismatch");
-  return std::make_unique<SkipPointerExecutor>(tree, query, opts, metrics, out);
-}
-
-std::unique_ptr<Executor> make_implicit_stackless_executor(const sstree::SSTree& tree,
-                                                           std::span<const Scalar> query,
-                                                           const GpuKnnOptions& opts,
-                                                           simt::Metrics* metrics,
-                                                           knn::QueryResult& out) {
-  PSB_REQUIRE(opts.k > 0, "k must be > 0");
-  PSB_REQUIRE(opts.implicit != nullptr,
-              "implicit_stackless requires GpuKnnOptions::implicit (pointer-free layout)");
-  PSB_REQUIRE(&opts.implicit->tree() == &tree, "layout was built over a different tree");
-  PSB_REQUIRE(query.size() == tree.dims(), "query dimensionality mismatch");
-  return std::make_unique<ImplicitStacklessExecutor>(tree, query, opts, metrics, out);
+  return std::make_unique<StacklessSkipExecutor>(tree, query, opts, metrics, out);
 }
 
 std::unique_ptr<Executor> make_loop_executor(std::function<void()> run,

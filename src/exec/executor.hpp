@@ -80,22 +80,15 @@ class Executor {
   bool finished_ = false;
 };
 
-/// Suspendable form of the skip-pointer preorder sweep
-/// (knn::skip_pointer_query). Yields after each scanned leaf.
-std::unique_ptr<Executor> make_skip_pointer_executor(const sstree::SSTree& tree,
-                                                     std::span<const Scalar> query,
-                                                     const knn::GpuKnnOptions& opts,
-                                                     simt::Metrics* metrics,
-                                                     knn::QueryResult& out);
-
-/// Suspendable form of the pointer-free escape-index walk
-/// (knn::implicit_stackless_query). Requires GpuKnnOptions::implicit.
-/// Yields after each scanned leaf.
-std::unique_ptr<Executor> make_implicit_stackless_executor(const sstree::SSTree& tree,
-                                                           std::span<const Scalar> query,
-                                                           const knn::GpuKnnOptions& opts,
-                                                           simt::Metrics* metrics,
-                                                           knn::QueryResult& out);
+/// Suspendable form of the stack-free preorder sweep
+/// (knn::skip_pointer_query). Walks escape indices over the implicit arena
+/// when GpuKnnOptions::implicit is set, skip links otherwise; both visit the
+/// same nodes with the same charges. Yields after each scanned leaf.
+std::unique_ptr<Executor> make_stackless_skip_executor(const sstree::SSTree& tree,
+                                                       std::span<const Scalar> query,
+                                                       const knn::GpuKnnOptions& opts,
+                                                       simt::Metrics* metrics,
+                                                       knn::QueryResult& out);
 
 /// Adapter for variants that keep their run-to-completion loops
 /// (best-first's ordered frontier, PSB's fused descent+scan, brute force):

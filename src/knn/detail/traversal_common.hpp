@@ -42,8 +42,8 @@ namespace psb::knn::detail {
 /// ImplicitLayout (spans keyed by preorder slot; node ids are mapped through
 /// slot_of). The implicit arena wins when both are set — for link-walking
 /// algorithms it is an accounting ablation (same traversal decisions,
-/// smaller pointer-free records); only the escape-index walker is physically
-/// realizable on it.
+/// smaller pointer-free records); only the stack-free sweep's escape-index
+/// cursor (exec::make_stackless_skip_executor) is physically realizable on it.
 class SnapshotFetch {
  public:
   SnapshotFetch(const sstree::SSTree& tree, const GpuKnnOptions& opts) {

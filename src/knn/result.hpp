@@ -140,10 +140,11 @@ struct GpuKnnOptions {
   /// results are unchanged — only the memory accounting moves. Must snapshot
   /// the same tree the query runs against.
   const layout::TraversalSnapshot* snapshot = nullptr;
-  /// Pointer-free implicit arena (layout/implicit.hpp): required by the
-  /// stackless escape-index traversal (implicit_stackless_*), which walks
-  /// preorder slots instead of node links and charges fetches through the
-  /// layout's span table. Must lay out the same tree the query runs against.
+  /// Pointer-free implicit arena (layout/implicit.hpp): when set, node
+  /// fetches are charged through the layout's span table, and the
+  /// stack-free sweep (`stackless_skip --layout implicit`) walks preorder
+  /// slots and escape indices instead of node links. Must lay out the same
+  /// tree the query runs against.
   const layout::ImplicitLayout* implicit = nullptr;
   /// Engine-owned resident window shared across a warp cohort of queries;
   /// null = each query opens its own window. Built over `snapshot` or

@@ -11,7 +11,12 @@
 //                     node with its subtree skipped. One forward sweep, no
 //                     revisits — but every sibling subtree on the path is
 //                     *visited* (its header fetched) even when a backtracking
-//                     traversal would never touch it.
+//                     traversal would never touch it. Over the implicit
+//                     arena the same sweep is an escape-index walk (slot + 1
+//                     to descend, ImplicitLayout::escape to skip); the escape
+//                     table is the preorder image of the skip chain, so
+//                     skip_pointer_* with GpuKnnOptions::implicit charges
+//                     exactly what that walk charges.
 //
 // Both are exact; both run on the same simulator and shared k-NN list.
 #pragma once

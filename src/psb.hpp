@@ -60,7 +60,6 @@
 #include "knn/best_first.hpp"           // IWYU pragma: export
 #include "knn/branch_and_bound.hpp"     // IWYU pragma: export
 #include "knn/brute_force.hpp"          // IWYU pragma: export
-#include "knn/implicit_stackless.hpp"    // IWYU pragma: export
 #include "knn/psb.hpp"                  // IWYU pragma: export
 #include "knn/radius.hpp"               // IWYU pragma: export
 #include "knn/stackless_baselines.hpp"   // IWYU pragma: export

@@ -1,6 +1,8 @@
 #include "sstree/serialize.hpp"
 
+#include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/envelope.hpp"
@@ -94,6 +96,15 @@ SSTree parse_index(const PointSet* points, std::string_view file_bytes,
     }
     if (n.sphere.center.size() != points->dims()) {
       throw CorruptIndex(label + ": sphere dimensionality mismatch");
+    }
+    // The builders never store a non-finite bound; one here would poison
+    // every MINDIST against this node.
+    if (std::string err = describe_non_finite(n.sphere.center, "sphere center"); !err.empty()) {
+      throw CorruptIndex(label + ": node " + std::to_string(i) + " " + err);
+    }
+    if (!std::isfinite(n.sphere.radius)) {
+      throw CorruptIndex(label + ": node " + std::to_string(i) + " sphere radius is non-finite (" +
+                         std::to_string(n.sphere.radius) + ")");
     }
   }
   r.require_done();

@@ -4,6 +4,9 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/geometry.hpp"
@@ -204,6 +207,27 @@ TEST(Io, RejectsCorruptFiles) {
   EXPECT_THROW(read_binary(path), CorruptIndex);
   EXPECT_THROW(read_binary("/nonexistent/path/file.bin"), IoError);
   std::remove(path.c_str());
+}
+
+TEST(Io, RejectsNonFiniteCoordinates) {
+  // The builders refuse non-finite points, so a stored NaN or infinity can
+  // only come from a damaged or foreign file: CorruptIndex naming the point
+  // and the coordinate, never a dataset that poisons every distance.
+  for (const Scalar bad : {std::numeric_limits<Scalar>::quiet_NaN(),
+                           std::numeric_limits<Scalar>::infinity()}) {
+    const PointSet good = make_uniform(3, 10, 1.0, 21);
+    std::vector<Scalar> raw(good.raw().begin(), good.raw().end());
+    raw[7 * 3 + 2] = bad;
+    const std::string bytes = serialize_binary(PointSet(3, std::move(raw)));
+    try {
+      parse_binary(bytes, "bad.bin");
+      ADD_FAILURE() << "accepted coordinate " << bad;
+    } catch (const CorruptIndex& e) {
+      EXPECT_NE(std::string(e.what()).find("point 7 coordinate 2 is non-finite"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Io, CsvRowCap) {

@@ -6,6 +6,7 @@
 // (dist, id) pairs, so every exact algorithm must return literally the same
 // neighbor list, not just the same distances.
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -18,11 +19,9 @@
 #include "knn/best_first.hpp"
 #include "knn/branch_and_bound.hpp"
 #include "knn/brute_force.hpp"
-#include "knn/implicit_stackless.hpp"
 #include "knn/psb.hpp"
 #include "knn/stackless_baselines.hpp"
 #include "knn/task_parallel_sstree.hpp"
-#include "layout/implicit.hpp"
 #include "obs/registry.hpp"
 #include "shard/sharded_engine.hpp"
 #include "sstree/builders.hpp"
@@ -90,10 +89,12 @@ void run_differential(const PointSet& data, const PointSet& queries, std::size_t
   knn::TaskParallelSsOptions tp;
   tp.k = k;
 
-  // The eighth traversal variant runs on the pointer-free preorder arena.
-  const layout::ImplicitLayout implicit(tree);
-  knn::GpuKnnOptions iopts = opts;
-  iopts.implicit = &implicit;
+  // The stack-free sweep also runs on the pointer-free preorder arena, where
+  // its cursor walks escape indices instead of skip links.
+  engine::BatchEngineOptions implicit_sweep;
+  implicit_sweep.algorithm = engine::Algorithm::kStacklessSkip;
+  implicit_sweep.layout = engine::NodeLayout::kImplicit;
+  implicit_sweep.gpu = opts;
 
   const std::vector<std::pair<std::string, knn::BatchResult>> candidates = {
       {"psb", knn::psb_batch(tree, queries, opts)},
@@ -102,7 +103,7 @@ void run_differential(const PointSet& data, const PointSet& queries, std::size_t
       {"stackless_restart", knn::restart_batch(tree, queries, opts)},
       {"stackless_skip", knn::skip_pointer_batch(tree, queries, opts)},
       {"task_parallel", knn::task_parallel_sstree_knn(tree, queries, tp)},
-      {"implicit_stackless", knn::implicit_stackless_batch(tree, queries, iopts)},
+      {"stackless_skip_implicit", engine::BatchEngine(tree, implicit_sweep).run(queries)},
   };
 
   for (std::size_t q = 0; q < queries.size(); ++q) {
@@ -152,13 +153,38 @@ constexpr engine::Algorithm kAllAlgorithms[] = {
     engine::Algorithm::kPsb,           engine::Algorithm::kBestFirst,
     engine::Algorithm::kBranchAndBound, engine::Algorithm::kStacklessRestart,
     engine::Algorithm::kStacklessSkip,  engine::Algorithm::kBruteForce,
-    engine::Algorithm::kTaskParallel,   engine::Algorithm::kImplicitStackless,
+    engine::Algorithm::kTaskParallel,
 };
 
-class ShardedDifferential : public testing::TestWithParam<engine::Algorithm> {};
+// One sharded sweep case: an engine algorithm, and whether every shard count
+// runs on the implicit arena. The implicit_stackless case pins the stack-free
+// sweep to that arena, so its escape-index cursor is checked at S=1 and S=4
+// too, not only at S=13. Four bytes, so each case prints as before.
+struct ShardedCase {
+  std::uint16_t algorithm;  // an engine::Algorithm
+  bool implicit_only;
+  std::uint8_t reserved;
 
-std::string algo_name(const testing::TestParamInfo<engine::Algorithm>& info) {
-  return std::string(engine::algorithm_name(info.param));
+  engine::Algorithm algo() const { return static_cast<engine::Algorithm>(algorithm); }
+  std::string name() const {
+    return implicit_only ? "implicit_stackless" : std::string(engine::algorithm_name(algo()));
+  }
+};
+static_assert(sizeof(ShardedCase) == 4);
+
+std::vector<ShardedCase> sharded_cases() {
+  std::vector<ShardedCase> cases;
+  for (const engine::Algorithm a : kAllAlgorithms) {
+    cases.push_back({static_cast<std::uint16_t>(a), false, 0});
+  }
+  cases.push_back({static_cast<std::uint16_t>(engine::Algorithm::kStacklessSkip), true, 0});
+  return cases;
+}
+
+class ShardedDifferential : public testing::TestWithParam<ShardedCase> {};
+
+std::string sharded_case_name(const testing::TestParamInfo<ShardedCase>& info) {
+  return info.param.name();
 }
 
 TEST_P(ShardedDifferential, ScatterGatherMatchesBruteForceAcrossShardCounts) {
@@ -178,19 +204,21 @@ TEST_P(ShardedDifferential, ScatterGatherMatchesBruteForceAcrossShardCounts) {
     shard::ShardedEngineOptions opts;
     opts.num_shards = shards;
     opts.degree = 16;
-    opts.engine.algorithm = GetParam();
+    opts.engine.algorithm = GetParam().algo();
     opts.engine.gpu.k = k;
-    // Exercise both fetch paths.
-    opts.engine.layout =
-        shards == 4 ? engine::NodeLayout::kSnapshot : engine::NodeLayout::kPointer;
+    // Exercise every fetch path: the implicit arena at S=13 (for
+    // stackless_skip, its escape-index cursor).
+    opts.engine.layout = GetParam().implicit_only ? engine::NodeLayout::kImplicit
+                         : shards == 4            ? engine::NodeLayout::kSnapshot
+                         : shards == 13           ? engine::NodeLayout::kImplicit
+                                                  : engine::NodeLayout::kPointer;
     shard::ShardedEngine eng(data, opts);
     const knn::BatchResult res = eng.run(queries);
     ASSERT_EQ(res.queries.size(), queries.size());
     EXPECT_TRUE(res.all_ok());
     for (std::size_t q = 0; q < queries.size(); ++q) {
       const std::string label = "sharded_S" + std::to_string(shards) + "/" +
-                                std::string(engine::algorithm_name(GetParam())) + " query " +
-                                std::to_string(q);
+                                GetParam().name() + " query " + std::to_string(q);
       expect_matches_reference(data, queries[q], k, res.queries[q], reference.queries[q],
                                label);
     }
@@ -205,10 +233,13 @@ TEST_P(ShardedDifferential, SingleShardBitIdenticalToBatchEngine) {
   const PointSet data = data::make_uniform(4, 1200, 1000.0, /*seed=*/5150);
   const PointSet queries = test::random_queries(4, 8, /*seed=*/51);
 
-  for (const engine::NodeLayout node_layout :
-       {engine::NodeLayout::kPointer, engine::NodeLayout::kSnapshot}) {
+  std::vector<engine::NodeLayout> layouts = {engine::NodeLayout::kPointer,
+                                             engine::NodeLayout::kSnapshot,
+                                             engine::NodeLayout::kImplicit};
+  if (GetParam().implicit_only) layouts = {engine::NodeLayout::kImplicit};
+  for (const engine::NodeLayout node_layout : layouts) {
     engine::BatchEngineOptions eopts;
-    eopts.algorithm = GetParam();
+    eopts.algorithm = GetParam().algo();
     eopts.gpu.k = 10;
     eopts.layout = node_layout;
 
@@ -287,7 +318,7 @@ TEST_P(ShardedDifferential, SingleShardBitIdenticalToBatchEngine) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, ShardedDifferential,
-                         testing::ValuesIn(kAllAlgorithms), algo_name);
+                         testing::ValuesIn(sharded_cases()), sharded_case_name);
 
 // The id-sequence contract depends on the heap's deterministic tie-breaking;
 // pin it down directly so a regression fails here and not 9 sweep cases deep.

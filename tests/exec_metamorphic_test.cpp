@@ -23,7 +23,6 @@
 #include "knn/best_first.hpp"
 #include "knn/branch_and_bound.hpp"
 #include "knn/brute_force.hpp"
-#include "knn/implicit_stackless.hpp"
 #include "knn/psb.hpp"
 #include "knn/stackless_baselines.hpp"
 #include "knn/task_parallel_sstree.hpp"
@@ -49,7 +48,13 @@ constexpr Algorithm kAllAlgorithms[] = {
     Algorithm::kPsb,           Algorithm::kBestFirst,
     Algorithm::kBranchAndBound, Algorithm::kStacklessRestart,
     Algorithm::kStacklessSkip,  Algorithm::kBruteForce,
-    Algorithm::kTaskParallel,   Algorithm::kImplicitStackless,
+    Algorithm::kTaskParallel,
+};
+
+/// One served configuration: an algorithm on a node layout.
+struct Served {
+  Algorithm algorithm;
+  engine::NodeLayout layout;
 };
 
 struct Workload {
@@ -71,7 +76,6 @@ knn::QueryResult query_fn(Algorithm a, const sstree::SSTree& tree, std::span<con
     case Algorithm::kBranchAndBound: return knn::bnb_query(tree, q, gpu, m);
     case Algorithm::kStacklessRestart: return knn::restart_query(tree, q, gpu, m);
     case Algorithm::kStacklessSkip: return knn::skip_pointer_query(tree, q, gpu, m);
-    case Algorithm::kImplicitStackless: return knn::implicit_stackless_query(tree, q, gpu, m);
     case Algorithm::kBruteForce: return knn::brute_force_query(tree.data(), q, gpu, m);
     case Algorithm::kTaskParallel: break;
   }
@@ -262,35 +266,49 @@ TEST(ExecMetamorphicTest, ExecutorEqualsLegacyEveryAlgorithm) {
     run_and_compare(w.built.tree, w.queries, opts,
                     std::string(engine::algorithm_name(a)) + " base");
   }
+  // The escape-index cursor against the skip-link reference, in the
+  // engine's default 32-query warp cohorts.
+  BatchEngineOptions opts;
+  opts.algorithm = Algorithm::kStacklessSkip;
+  opts.layout = engine::NodeLayout::kImplicit;
+  opts.gpu.k = 6;
+  opts.num_threads = 1;
+  run_and_compare(w.built.tree, w.queries, opts, "stackless_skip implicit");
 }
 
 TEST(ExecMetamorphicTest, ExecutorEqualsLegacySnapshotCohorts) {
   const Workload w;
-  for (const Algorithm a : kAllAlgorithms) {
+  std::vector<Served> cases;
+  for (const Algorithm a : kAllAlgorithms) cases.push_back({a, engine::NodeLayout::kSnapshot});
+  cases.push_back({Algorithm::kStacklessSkip, engine::NodeLayout::kImplicit});
+  for (const Served& c : cases) {
     BatchEngineOptions opts;
-    opts.algorithm = a;
+    opts.algorithm = c.algorithm;
     opts.gpu.k = 6;
-    opts.layout = engine::NodeLayout::kSnapshot;
+    opts.layout = c.layout;
     opts.warp_queries = 4;
     opts.num_threads = 1;
     run_and_compare(w.built.tree, w.queries, opts,
-                    std::string(engine::algorithm_name(a)) + " snapshot");
+                    std::string(engine::algorithm_name(c.algorithm)) + " " +
+                        std::string(engine::node_layout_name(c.layout)) + " cohorts");
   }
 }
 
 TEST(ExecMetamorphicTest, ExecutorEqualsLegacyUnderQueryReorder) {
   const Workload w;
-  for (const Algorithm a : {Algorithm::kStacklessSkip, Algorithm::kImplicitStackless,
-                            Algorithm::kPsb}) {
+  for (const Served c : {Served{Algorithm::kStacklessSkip, engine::NodeLayout::kSnapshot},
+                         Served{Algorithm::kStacklessSkip, engine::NodeLayout::kImplicit},
+                         Served{Algorithm::kPsb, engine::NodeLayout::kSnapshot}}) {
     BatchEngineOptions opts;
-    opts.algorithm = a;
+    opts.algorithm = c.algorithm;
     opts.gpu.k = 6;
-    opts.layout = engine::NodeLayout::kSnapshot;
+    opts.layout = c.layout;
     opts.reorder_queries = true;
     opts.warp_queries = 4;
     opts.num_threads = 1;
     run_and_compare(w.built.tree, w.queries, opts,
-                    std::string(engine::algorithm_name(a)) + " reorder");
+                    std::string(engine::algorithm_name(c.algorithm)) + " " +
+                        std::string(engine::node_layout_name(c.layout)) + " reorder");
   }
 }
 
@@ -381,22 +399,25 @@ knn::BatchResult reference_sharded(const shard::ShardedEngine& eng, const PointS
 
 TEST(ExecMetamorphicTest, ShardedExecutorEqualsLegacy) {
   const Workload w;
-  for (const Algorithm a : {Algorithm::kStacklessSkip, Algorithm::kImplicitStackless,
-                            Algorithm::kBranchAndBound}) {
+  for (const Served c : {Served{Algorithm::kStacklessSkip, engine::NodeLayout::kSnapshot},
+                         Served{Algorithm::kStacklessSkip, engine::NodeLayout::kImplicit},
+                         Served{Algorithm::kBranchAndBound, engine::NodeLayout::kSnapshot}}) {
     shard::ShardedEngineOptions sopts;
     sopts.num_shards = 4;
     sopts.degree = 16;
-    sopts.engine.algorithm = a;
+    sopts.engine.algorithm = c.algorithm;
     sopts.engine.gpu.k = 6;
-    sopts.engine.layout = engine::NodeLayout::kSnapshot;
+    sopts.engine.layout = c.layout;
     sopts.engine.num_threads = 1;
 
     shard::ShardedEngine eng(w.data, sopts);
     const knn::BatchResult got = eng.run(w.queries);
     const knn::BatchResult want = reference_sharded(eng, w.data, w.queries);
 
-    expect_batch_identical(got, want, std::string(engine::algorithm_name(a)) + " sharded");
-    EXPECT_GT(got.exec.steps, 0u) << engine::algorithm_name(a);
+    const std::string label = std::string(engine::algorithm_name(c.algorithm)) + " " +
+                              std::string(engine::node_layout_name(c.layout)) + " sharded";
+    expect_batch_identical(got, want, label);
+    EXPECT_GT(got.exec.steps, 0u) << label;
   }
 }
 

@@ -21,9 +21,9 @@
 #include "exec/executor.hpp"
 #include "fault/fault.hpp"
 #include "fault/sites.hpp"
-#include "knn/implicit_stackless.hpp"
 #include "knn/stackless_baselines.hpp"
 #include "layout/implicit.hpp"
+#include "layout/snapshot.hpp"
 #include "obs/registry.hpp"
 #include "simt/overlap.hpp"
 #include "sstree/builders.hpp"
@@ -117,6 +117,7 @@ void expect_metrics_equal(const simt::Metrics& a, const simt::Metrics& b,
   EXPECT_EQ(a.node_fetches, b.node_fetches) << label;
   EXPECT_EQ(a.fetches_random, b.fetches_random) << label;
   EXPECT_EQ(a.fetches_cached, b.fetches_cached) << label;
+  EXPECT_EQ(a.shared_bytes, b.shared_bytes) << label;
 }
 
 void expect_query_equal(const knn::QueryResult& a, const knn::QueryResult& b,
@@ -133,12 +134,17 @@ void expect_query_equal(const knn::QueryResult& a, const knn::QueryResult& b,
   EXPECT_EQ(a.stats.backtracks, b.stats.backtracks) << label;
   EXPECT_EQ(a.stats.heap_inserts, b.stats.heap_inserts) << label;
   EXPECT_EQ(a.stats.restarts, b.stats.restarts) << label;
+  EXPECT_EQ(a.stats.leaf_scans, b.stats.leaf_scans) << label;
+  EXPECT_EQ(a.stats.heap_pushes, b.stats.heap_pushes) << label;
+  EXPECT_EQ(a.budget_exhausted, b.budget_exhausted) << label;
 }
 
-TEST(ExecutorTest, SkipPointerExecutorMatchesLegacyQuery) {
-  const Workload w;
-  knn::GpuKnnOptions opts;
-  opts.k = 6;
+/// Drive the stack-free sweep's executor over every workload query and
+/// compare it with knn::skip_pointer_query under the same options: every
+/// answer, every TraversalStats and Metrics field, and one recorded step per
+/// scanned leaf plus at most one terminal step for the post-last-leaf tail.
+void expect_sweep_matches_skip_pointer_query(const Workload& w, const knn::GpuKnnOptions& opts,
+                                             const std::string& layout) {
   for (std::size_t q = 0; q < w.queries.size(); ++q) {
     simt::Metrics legacy_m;
     const knn::QueryResult legacy =
@@ -147,41 +153,40 @@ TEST(ExecutorTest, SkipPointerExecutorMatchesLegacyQuery) {
     simt::Metrics exec_m;
     knn::QueryResult got;
     std::unique_ptr<exec::Executor> ex =
-        exec::make_skip_pointer_executor(w.built.tree, w.queries[q], opts, &exec_m, got);
+        exec::make_stackless_skip_executor(w.built.tree, w.queries[q], opts, &exec_m, got);
     exec::drive(*ex);
 
     EXPECT_TRUE(ex->finished());
-    const std::string label = "skip_pointer query " + std::to_string(q);
+    const std::string label = "stackless_skip " + layout + " query " + std::to_string(q);
     expect_query_equal(got, legacy, label);
     expect_metrics_equal(exec_m, legacy_m, label);
-    // One recorded step per scanned leaf, plus at most one terminal step for
-    // the post-last-leaf sweep tail.
     EXPECT_GE(ex->steps().size(), got.stats.leaves_visited) << label;
     EXPECT_LE(ex->steps().size(), got.stats.leaves_visited + 1) << label;
   }
 }
 
-TEST(ExecutorTest, ImplicitStacklessExecutorMatchesLegacyQuery) {
+TEST(ExecutorTest, SkipPointerExecutorMatchesLegacyQuery) {
+  const Workload w;
+  knn::GpuKnnOptions opts;
+  opts.k = 6;
+  expect_sweep_matches_skip_pointer_query(w, opts, "pointer");
+  const layout::TraversalSnapshot snap(w.built.tree);
+  opts.snapshot = &snap;
+  expect_sweep_matches_skip_pointer_query(w, opts, "snapshot");
+}
+
+TEST(ExecutorTest, EscapeIndexCursorMatchesSkipPointerQuery) {
+  // On the implicit arena the executor's cursor is a preorder slot (descend
+  // to slot + 1, escape via the escape table) while the reference still
+  // follows node links and skip pointers. Equal answers, stats and charges
+  // for every query pin that the escape table is the preorder image of the
+  // skip chain.
   const Workload w;
   const layout::ImplicitLayout lay(w.built.tree);
   knn::GpuKnnOptions opts;
   opts.k = 6;
   opts.implicit = &lay;
-  for (std::size_t q = 0; q < w.queries.size(); ++q) {
-    simt::Metrics legacy_m;
-    const knn::QueryResult legacy =
-        knn::implicit_stackless_query(w.built.tree, w.queries[q], opts, &legacy_m);
-
-    simt::Metrics exec_m;
-    knn::QueryResult got;
-    std::unique_ptr<exec::Executor> ex = exec::make_implicit_stackless_executor(
-        w.built.tree, w.queries[q], opts, &exec_m, got);
-    exec::drive(*ex);
-
-    const std::string label = "implicit_stackless query " + std::to_string(q);
-    expect_query_equal(got, legacy, label);
-    expect_metrics_equal(exec_m, legacy_m, label);
-  }
+  expect_sweep_matches_skip_pointer_query(w, opts, "implicit");
 }
 
 TEST(ExecutorTest, ResumeIsIdempotentAfterCompletion) {
@@ -191,7 +196,7 @@ TEST(ExecutorTest, ResumeIsIdempotentAfterCompletion) {
   simt::Metrics m;
   knn::QueryResult got;
   std::unique_ptr<exec::Executor> ex =
-      exec::make_skip_pointer_executor(w.built.tree, w.queries[0], opts, &m, got);
+      exec::make_stackless_skip_executor(w.built.tree, w.queries[0], opts, &m, got);
   exec::drive(*ex);
   ASSERT_TRUE(ex->finished());
   const std::size_t steps = ex->steps().size();

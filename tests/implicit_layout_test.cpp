@@ -17,7 +17,6 @@
 #include "fault/fault.hpp"
 #include "fault/sites.hpp"
 #include "knn/brute_force.hpp"
-#include "knn/implicit_stackless.hpp"
 #include "knn/stackless_baselines.hpp"
 #include "layout/fetch.hpp"
 #include "layout/implicit.hpp"
@@ -167,16 +166,21 @@ TEST(ImplicitLayout, PreorderSweepStreamsCoalesced) {
 TEST(ImplicitStackless, BitIdenticalToSkipPointerWalk) {
   const PointSet points = noaa_points();
   const sstree::SSTree tree = sstree::build_hilbert(points, 16).tree;
-  const ImplicitLayout lay(tree);
   const PointSet queries = data::sample_queries(points, 16, 0.5, 7);
 
   knn::GpuKnnOptions opts;
   opts.k = 8;
   const knn::BatchResult want = knn::skip_pointer_batch(tree, queries, opts);
 
-  knn::GpuKnnOptions iopts = opts;
-  iopts.implicit = &lay;
-  const knn::BatchResult got = knn::implicit_stackless_batch(tree, queries, iopts);
+  // stackless_skip on the implicit layout walks escape indices instead of
+  // skip links.
+  engine::BatchEngineOptions eo;
+  eo.algorithm = engine::Algorithm::kStacklessSkip;
+  eo.layout = engine::NodeLayout::kImplicit;
+  eo.gpu = opts;
+  const engine::BatchEngine eng(tree, eo);
+  ASSERT_NE(eng.implicit_layout(), nullptr);
+  const knn::BatchResult got = eng.run(queries);
 
   // The escape table is the preorder image of the skip chain, so the walks
   // are the same walk: identical neighbors *and* identical traversal stats.
@@ -197,22 +201,13 @@ TEST(ImplicitStackless, BitIdenticalToSkipPointerWalk) {
   }
 }
 
-TEST(ImplicitStackless, RequiresTheLayout) {
-  const PointSet points = noaa_points(20, 10);
-  const sstree::SSTree tree = sstree::build_hilbert(points, 8).tree;
-  const PointSet queries = data::sample_queries(points, 1, 0.0, 7);
-  knn::GpuKnnOptions opts;
-  opts.k = 4;
-  EXPECT_THROW(knn::implicit_stackless_batch(tree, queries, opts), InvalidArgument);
-}
-
 TEST(ImplicitStackless, ReorderInvariant) {
   const PointSet points = noaa_points();
   const sstree::SSTree tree = sstree::build_hilbert(points, 16).tree;
   const PointSet queries = data::sample_queries(points, 24, 0.5, 11);
 
   engine::BatchEngineOptions base;
-  base.algorithm = engine::Algorithm::kImplicitStackless;
+  base.algorithm = engine::Algorithm::kStacklessSkip;
   base.layout = engine::NodeLayout::kImplicit;
   base.gpu.k = 8;
   base.warp_queries = 1;
@@ -245,7 +240,8 @@ TEST(ImplicitStackless, EngineDegradesCountedNeverSilentOnCorruptArena) {
   const knn::BatchResult truth = knn::brute_force_batch(points, queries, ref);
 
   engine::BatchEngineOptions eo;
-  eo.algorithm = engine::Algorithm::kImplicitStackless;
+  eo.algorithm = engine::Algorithm::kStacklessSkip;
+  eo.layout = engine::NodeLayout::kImplicit;
   eo.gpu.k = 8;
   const engine::BatchEngine eng(tree, eo);
   ASSERT_NE(eng.implicit_layout(), nullptr);
@@ -291,7 +287,7 @@ TEST(ImplicitStackless, ShardedServingStaysExactAcrossShardCounts) {
     shard::ShardedEngineOptions sopts;
     sopts.num_shards = shards;
     sopts.degree = 16;
-    sopts.engine.algorithm = engine::Algorithm::kImplicitStackless;
+    sopts.engine.algorithm = engine::Algorithm::kStacklessSkip;
     sopts.engine.layout = engine::NodeLayout::kImplicit;
     sopts.engine.gpu.k = 8;
     shard::ShardedEngine eng(points, sopts);

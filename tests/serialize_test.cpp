@@ -4,6 +4,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <string>
 
 #include "knn/psb.hpp"
 #include "sstree/builders.hpp"
@@ -85,6 +87,39 @@ TEST(Serialize, RejectsCorruptFiles) {
   EXPECT_THROW(read_index(&points, path), CorruptIndex);
   EXPECT_THROW(read_index(&points, "/no/such/file.psbt"), IoError);
   std::remove(path.c_str());
+}
+
+/// parse_index must reject `tree`'s image as CorruptIndex with a message
+/// containing `needle`.
+void expect_index_rejected(const SSTree& tree, const PointSet& points,
+                           const std::string& needle) {
+  const std::string bytes = serialize_index(tree);
+  try {
+    parse_index(&points, bytes, "bad.psbt");
+    ADD_FAILURE() << "accepted an index with " << needle;
+  } catch (const CorruptIndex& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
+  }
+}
+
+TEST(Serialize, RejectsNonFiniteSpheres) {
+  // A NaN or infinite bound makes every MINDIST against it NaN or infinite,
+  // which silently prunes (or keeps) whole subtrees: a corrupt index,
+  // named by node and coordinate.
+  const PointSet points = test::small_clustered(4, 300, 9);
+  for (const Scalar bad : {std::numeric_limits<Scalar>::quiet_NaN(),
+                           std::numeric_limits<Scalar>::infinity()}) {
+    SSTree center = build_kmeans(points, 16).tree;
+    const NodeId leaf = center.leaves().front();
+    center.node(leaf).sphere.center[1] = bad;
+    expect_index_rejected(center, points,
+                          "node " + std::to_string(leaf) + " sphere center coordinate 1");
+
+    SSTree radius = build_kmeans(points, 16).tree;
+    const NodeId root = radius.root();
+    radius.node(root).sphere.radius = bad;
+    expect_index_rejected(radius, points, "node " + std::to_string(root) + " sphere radius");
+  }
 }
 
 TEST(Serialize, TruncatedFileRejected) {

@@ -51,13 +51,19 @@ void expect_bit_identical(const std::vector<KnnHeap::Entry>& got,
   }
 }
 
-constexpr engine::Algorithm kAlgorithms[] = {
-    engine::Algorithm::kPsb,
-    engine::Algorithm::kBestFirst,
-    engine::Algorithm::kBranchAndBound,
-    engine::Algorithm::kStacklessRestart,
-    engine::Algorithm::kStacklessSkip,
-    engine::Algorithm::kImplicitStackless,
+/// The trial rotation; the stack-free sweep serves twice, the second time on
+/// the implicit arena (its escape-index cursor).
+struct Served {
+  engine::Algorithm algorithm;
+  bool implicit;
+};
+constexpr Served kServed[] = {
+    {engine::Algorithm::kPsb, false},
+    {engine::Algorithm::kBestFirst, false},
+    {engine::Algorithm::kBranchAndBound, false},
+    {engine::Algorithm::kStacklessRestart, false},
+    {engine::Algorithm::kStacklessSkip, false},
+    {engine::Algorithm::kStacklessSkip, true},
 };
 
 serve::ArrivalSpec random_arrival_spec(Rng& rng, std::uint64_t trial) {
@@ -80,10 +86,12 @@ serve::ArrivalSpec random_arrival_spec(Rng& rng, std::uint64_t trial) {
 serve::StreamingOptions random_streaming_options(Rng& rng, std::uint64_t trial,
                                                  serve::DispatchMode mode) {
   serve::StreamingOptions so;
-  so.engine.algorithm = kAlgorithms[trial % std::size(kAlgorithms)];
+  const Served& served = kServed[trial % std::size(kServed)];
+  so.engine.algorithm = served.algorithm;
   so.engine.gpu.k = 1 + rng.next_below(16);
   so.engine.layout =
       rng.next_below(2) == 1 ? engine::NodeLayout::kSnapshot : engine::NodeLayout::kPointer;
+  if (served.implicit) so.engine.layout = engine::NodeLayout::kImplicit;
   so.engine.num_threads = 1 + rng.next_below(4);
   so.engine.reorder_queries = rng.next_below(2) == 1;
   so.engine.warp_queries = 1 + rng.next_below(32);
@@ -192,7 +200,9 @@ TEST(StreamPropertyTest, ShardedBackendSeededTrials) {
     shard::ShardedEngineOptions sopts;
     sopts.num_shards = 1 + rng.next_below(5);
     sopts.degree = 8 + rng.next_below(17);
-    sopts.engine.algorithm = kAlgorithms[trial % std::size(kAlgorithms)];
+    const Served& served = kServed[trial % std::size(kServed)];
+    sopts.engine.algorithm = served.algorithm;
+    if (served.implicit) sopts.engine.layout = engine::NodeLayout::kImplicit;
     sopts.engine.gpu.k = 1 + rng.next_below(12);
     shard::ShardedEngine sharded(data, sopts);
 

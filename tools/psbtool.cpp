@@ -34,11 +34,15 @@ commands:
             [--degree N] [--bounds sphere|rect]
   info      --data FILE --index FILE
   query     --data FILE --index FILE [--k N] [--num-queries N]
-            [--algo psb|bnb|brute|bestfirst|implicit_stackless] [--seed N]
+            [--algo psb|bnb|brute|bestfirst|stackless_restart|stackless_skip|
+                    task_parallel_sstree] [--seed N]
             [--snapshot 0|1] [--layout pointer|snapshot|implicit]
             [--reorder 0|1] [--warp-queries N]
             [--shards N] [--trace-out FILE.json] [--trace-csv FILE.csv]
-            (--shards serves through the scatter-gather ShardedEngine, which
+            (every --algo, short or full engine name, is served through the
+             BatchEngine; --algo stackless_skip --layout implicit is the
+             stack-free escape-index sweep over the pointer-free arena;
+             --shards serves through the scatter-gather ShardedEngine, which
              partitions --data itself; --index is then not required)
   radius    --data FILE --index FILE --radius X [--num-queries N] [--seed N]
   serve     --data FILE (--index FILE | --shards N) [--algo ...] [--k N]
@@ -61,7 +65,7 @@ commands:
             [--num-queries N | --queries N]
             [--k N] [--degree N] [--seed N] [--algos a,b,...]
             [--variants base,snapshot,snapshot_reorder,implicit,
-             implicit_stackless,sharded,sharded_nobound,
+             sharded,sharded_nobound,
              stream_naive,stream_buffered,replicated,replicated_hedged,
              join_single,join_dual]
             [--warp-queries N] [--shards N]
@@ -280,8 +284,22 @@ int cmd_query(const Args& args) {
   const std::size_t nq = args.num("num-queries", 8);
   const PointSet queries = data::sample_queries(points, nq, 0.0, args.num("seed", 7));
   const std::string algo = args.str("algo", "psb");
-  const engine::NodeLayout node_layout = layout_from_flags(args);
+  engine::BatchEngineOptions eo;
+  eo.algorithm = algo_from_flag(algo);
+  eo.gpu.k = k;
+  eo.layout = layout_from_flags(args);
+  eo.reorder_queries = args.num("reorder", 0) != 0;
+  eo.warp_queries = args.num("warp-queries", 32);
 
+  // Collect per-query traces when an export was requested; the session also
+  // demonstrates the obs path the benches and tests share.
+  const std::string trace_out = args.str("trace-out", "-");
+  const std::string trace_csv = args.str("trace-csv", "-");
+  std::optional<obs::TraceSession> session;
+  if (trace_out != "-" || trace_csv != "-") session.emplace();
+
+  knn::BatchResult r;
+  std::string served = algo;
   if (args.has("shards")) {
     // Scatter-gather serving: partition the dataset and answer through the
     // ShardedEngine (the engine builds its own per-shard trees, so no
@@ -289,30 +307,20 @@ int cmd_query(const Args& args) {
     shard::ShardedEngineOptions sopts;
     sopts.num_shards = args.num("shards", 4);
     sopts.degree = args.num("degree", 64);
-    sopts.engine.algorithm = algo_from_flag(algo);
-    sopts.engine.gpu.k = k;
-    sopts.engine.layout = node_layout;
+    sopts.engine = eo;
     shard::ShardedEngine eng(points, sopts);
-    const knn::BatchResult r = eng.run(queries);
-    print_neighbors(r, r.queries.size());
-    std::cout << "\n" << algo << " over " << eng.num_shards() << " shards: "
-              << r.timing.avg_query_ms << " ms/query, "
-              << r.accessed_mb() / static_cast<double>(queries.size())
-              << " MB/query, warp eff " << r.metrics.warp_efficiency() * 100 << "%\n";
-    return 0;
+    r = eng.run(queries);
+    served += " over " + std::to_string(eng.num_shards()) + " shards";
+  } else {
+    const sstree::SSTree tree = sstree::read_index(&points, args.str("index"));
+    r = engine::BatchEngine(tree, eo).run(queries);
   }
 
-  const sstree::SSTree tree = sstree::read_index(&points, args.str("index"));
-
-  // Collect per-query traces when an export was requested; the session also
-  // demonstrates the obs path the benches and tests share.
-  const std::string trace_out = args.str("trace-out", "-");
-  const std::string trace_csv = args.str("trace-csv", "-");
-  const bool want_trace = trace_out != "-" || trace_csv != "-";
-  std::optional<obs::TraceSession> session;
-  if (want_trace) session.emplace();
-  const auto export_trace = [&] {
-    if (!want_trace) return;
+  print_neighbors(r, r.queries.size());
+  std::cout << "\n" << served << ": " << r.timing.avg_query_ms << " ms/query, "
+            << r.accessed_mb() / static_cast<double>(queries.size()) << " MB/query, warp eff "
+            << r.metrics.warp_efficiency() * 100 << "%\n";
+  if (session) {
     const obs::TraceReport report = session->report();
     if (trace_out != "-") {
       obs::write_text_file(trace_out, obs::trace_to_json(report));
@@ -322,48 +330,7 @@ int cmd_query(const Args& args) {
       obs::write_text_file(trace_csv, obs::trace_to_csv(report));
       std::cout << "trace csv written: " << trace_csv << "\n";
     }
-  };
-
-  knn::GpuKnnOptions opts;
-  opts.k = k;
-  const bool reorder = args.num("reorder", 0) != 0;
-  // Any engine-level feature (frozen arena, reordering, or the stackless
-  // walker that only exists on the implicit layout) routes through the
-  // BatchEngine; the plain library batch entry points stay the default.
-  const bool engine_path =
-      reorder || node_layout != engine::NodeLayout::kPointer || algo == "implicit_stackless";
-  knn::BatchResult r;
-  if (engine_path) {
-    engine::BatchEngineOptions eo;
-    eo.gpu = opts;
-    eo.layout = node_layout;
-    eo.reorder_queries = reorder;
-    eo.warp_queries = args.num("warp-queries", 32);
-    eo.algorithm = algo_from_flag(algo);
-    r = engine::BatchEngine(tree, eo).run(queries);
-  } else if (algo == "psb") {
-    r = knn::psb_batch(tree, queries, opts);
-  } else if (algo == "bnb") {
-    r = knn::bnb_batch(tree, queries, opts);
-  } else if (algo == "brute") {
-    r = knn::brute_force_batch(points, queries, opts);
-  } else if (algo == "bestfirst") {
-    auto qs = knn::best_first_batch(tree, queries, k);
-    for (std::size_t i = 0; i < qs.size(); ++i) {
-      std::cout << "query " << i << ": nearest id " << qs[i].neighbors.front().id
-                << " at distance " << qs[i].neighbors.front().dist << "\n";
-    }
-    export_trace();
-    return 0;
-  } else {
-    usage("unknown --algo " + algo);
   }
-
-  print_neighbors(r, r.queries.size());
-  std::cout << "\n" << algo << ": " << r.timing.avg_query_ms << " ms/query, "
-            << r.accessed_mb() / static_cast<double>(queries.size()) << " MB/query, warp eff "
-            << r.metrics.warp_efficiency() * 100 << "%\n";
-  export_trace();
   return 0;
 }
 
@@ -665,9 +632,6 @@ int cmd_bench(const Args& args) {
       eng_opts.warp_queries = args.num("warp-queries", 32);
       const bool sharded = variant == "sharded" || variant == "sharded_nobound";
       std::string prefix = name;
-      // The engine traces under its own algorithm name; only the stackless
-      // escape walker replaces the algorithm, the other variants keep it.
-      std::string trace_name = name;
       if (variant == "snapshot") {
         eng_opts.layout = engine::NodeLayout::kSnapshot;
         prefix += "_snapshot";
@@ -676,17 +640,11 @@ int cmd_bench(const Args& args) {
         eng_opts.reorder_queries = true;
         prefix += "_snapshot_reorder";
       } else if (variant == "implicit") {
-        // Accounting ablation: same link-walking traversal, fetches charged
-        // through the pointer-free preorder arena.
+        // Fetches charged through the pointer-free preorder arena. The
+        // stack-free sweep walks its escape indices; for the link-walking
+        // algorithms it is an accounting ablation (same traversal).
         eng_opts.layout = engine::NodeLayout::kImplicit;
         prefix += "_implicit";
-      } else if (variant == "implicit_stackless") {
-        // The eighth traversal variant: stackless escape-index walk, the one
-        // algorithm physically realizable on the pointer-free arena.
-        eng_opts.layout = engine::NodeLayout::kImplicit;
-        eng_opts.algorithm = engine::Algorithm::kImplicitStackless;
-        trace_name = "implicit_stackless";
-        prefix += "_implicit_stackless";
       } else if (sharded) {
         prefix += "_" + variant;
       } else if (variant == "stream_naive" || variant == "stream_buffered" ||
@@ -838,8 +796,8 @@ int cmd_bench(const Args& args) {
         result = std::move(run.result);
         report = std::move(run.trace);
       }
-      const obs::AlgorithmTrace* trace = report.find(trace_name);
-      PSB_ASSERT(trace != nullptr, "engine produced no trace for " + trace_name);
+      const obs::AlgorithmTrace* trace = report.find(name);
+      PSB_ASSERT(trace != nullptr, "engine produced no trace for " + name);
       const obs::QueryTrace totals = trace->totals();
 
       using obs::TraceCounter;
@@ -860,7 +818,7 @@ int cmd_bench(const Args& args) {
       w.field(prefix + ".warp_efficiency", result.metrics.warp_efficiency());
       if (result.exec.steps > 0) {
         // Stream-overlap totals from the resumable-executor schedule
-        // (src/exec/). The ratio is the BENCH_gate_exec headline: < 1.0 means
+        // (src/exec/). The ratio is gated in BENCH_gate_implicit: < 1.0 means
         // the double-buffered fetch/compute pipeline beat the serialized
         // run-to-completion cost on this cohort mix; gated lower-is-better.
         w.field(prefix + ".exec_steps", result.exec.steps);
@@ -888,11 +846,10 @@ int cmd_bench(const Args& args) {
                   static_cast<double>(accessed) / base_bytes);
         }
         if (variant == "snapshot") snapshot_bytes = static_cast<double>(accessed);
-        if ((variant == "implicit" || variant == "implicit_stackless") &&
-            snapshot_bytes > 0.0) {
+        if (variant == "implicit" && snapshot_bytes > 0.0) {
           // The implicit-layout headline: pointer-free records vs the
-          // pointer-carrying snapshot arena. < 1.0 is the ISSUE 6 gate. List
-          // snapshot before the implicit variants in --variants to get it.
+          // pointer-carrying snapshot arena; < 1.0 is the implicit gate. List
+          // snapshot before implicit in --variants to get it.
           w.field(prefix + ".accessed_bytes_vs_snapshot_ratio",
                   static_cast<double>(accessed) / snapshot_bytes);
         }
@@ -967,11 +924,13 @@ int cmd_bench(const Args& args) {
 constexpr std::size_t kCampaignK = 8;
 constexpr std::size_t kCampaignQueries = 12;
 
-/// The algorithms the campaigns rotate through, one per iteration.
+/// The algorithms the campaigns rotate through, one per iteration. The
+/// stack-free sweep holds two of the six slots, so every fault site keeps
+/// meeting the same slot sequence.
 constexpr engine::Algorithm kCampaignAlgos[] = {
     engine::Algorithm::kPsb, engine::Algorithm::kBestFirst,
     engine::Algorithm::kBranchAndBound, engine::Algorithm::kStacklessRestart,
-    engine::Algorithm::kStacklessSkip, engine::Algorithm::kImplicitStackless};
+    engine::Algorithm::kStacklessSkip, engine::Algorithm::kStacklessSkip};
 constexpr std::size_t kNumCampaignAlgos = std::size(kCampaignAlgos);
 
 knn::GpuKnnOptions campaign_gpu() {

@@ -31,6 +31,11 @@ run(${PSBTOOL} build --data ${DATA} --out ${INDEX} --builder kmeans --degree 32)
 run(${PSBTOOL} info --data ${DATA} --index ${INDEX})
 run(${PSBTOOL} query --data ${DATA} --index ${INDEX} --k 4 --num-queries 3)
 run(${PSBTOOL} query --data ${DATA} --index ${INDEX} --k 4 --num-queries 3 --algo bnb)
+# Every --algo, short or full engine name, is served through the BatchEngine;
+# on the implicit layout the stack-free sweep walks escape indices.
+run(${PSBTOOL} query --data ${DATA} --index ${INDEX} --k 4 --num-queries 3 --algo stackless_skip)
+run(${PSBTOOL} query --data ${DATA} --index ${INDEX} --k 4 --num-queries 3 --algo stackless_skip
+  --layout implicit)
 run(${PSBTOOL} radius --data ${DATA} --index ${INDEX} --radius 100 --num-queries 2)
 run(${PSBTOOL} build --data ${DATA} --out ${INDEX}.rect --builder hilbert --bounds rect)
 run(${PSBTOOL} info --data ${DATA} --index ${INDEX}.rect)
