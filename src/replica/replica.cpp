@@ -19,29 +19,22 @@ std::size_t group_for_cell(std::uint64_t cell, int key_bits, std::size_t groups)
   return static_cast<std::size_t>((c * groups) >> bits);
 }
 
-ReplicaRouter::ReplicaRouter(ReplicaOptions opts) : opts_(opts) {
-  PSB_REQUIRE(opts_.enabled(), "ReplicaRouter requires replicas >= 1");
-  PSB_REQUIRE(opts_.groups >= 1, "groups must be >= 1");
-  PSB_REQUIRE(opts_.max_attempts >= 1, "max_attempts must be >= 1");
-  PSB_REQUIRE(opts_.hedge_percentile > 0.0 && opts_.hedge_percentile <= 100.0,
+void validate(const ReplicaOptions& opts) {
+  PSB_REQUIRE(opts.enabled(), "ReplicaRouter requires replicas >= 1");
+  PSB_REQUIRE(opts.groups >= 1, "groups must be >= 1");
+  PSB_REQUIRE(opts.max_attempts >= 1, "max_attempts must be >= 1");
+  PSB_REQUIRE(opts.hedge_percentile > 0.0 && opts.hedge_percentile <= 100.0,
               "hedge_percentile must be in (0, 100]");
-  PSB_REQUIRE(opts_.straggle_pct <= 100, "straggle_pct is a percentage");
-  PSB_REQUIRE(opts_.straggle_multiplier >= 1, "straggle_multiplier must be >= 1");
-  PSB_REQUIRE(opts_.backoff_cap_us >= opts_.backoff_base_us,
+  PSB_REQUIRE(opts.straggle_pct <= 100, "straggle_pct is a percentage");
+  PSB_REQUIRE(opts.straggle_multiplier >= 1, "straggle_multiplier must be >= 1");
+  PSB_REQUIRE(opts.backoff_cap_us >= opts.backoff_base_us,
               "backoff_cap_us must be >= backoff_base_us");
+}
+
+ReplicaRouter::ReplicaRouter(ReplicaOptions opts) : opts_(opts) {
+  validate(opts_);
   groups_.resize(opts_.groups);
   for (Group& g : groups_) g.servers.resize(opts_.replicas);
-}
-
-const obs::Histogram& ReplicaRouter::group_latency(std::size_t group) const {
-  PSB_REQUIRE(group < groups_.size(), "group index out of range");
-  return groups_[group].latency;
-}
-
-obs::Histogram ReplicaRouter::merged_latency() const {
-  obs::Histogram merged;
-  for (const Group& g : groups_) merged.merge(g.latency);
-  return merged;
 }
 
 std::size_t ReplicaRouter::select(Group& g, std::uint64_t t, std::size_t exclude) {
@@ -195,25 +188,6 @@ ReplicaRouter::Outcome ReplicaRouter::dispatch(const Request& req) {
   ++stats_.exhausted;
   out.completion_us = t;  // when the router gave up, for the caller's ladder
   return out;  // unserved: the caller must brute-force or flag, never drop
-}
-
-ReplicaStats ReplicaStats::minus(const ReplicaStats& base) const noexcept {
-  ReplicaStats d;
-  d.dispatches = dispatches - base.dispatches;
-  d.attempts = attempts - base.attempts;
-  d.crashes = crashes - base.crashes;
-  d.restarts = restarts - base.restarts;
-  d.straggles = straggles - base.straggles;
-  d.timeouts = timeouts - base.timeouts;
-  d.corrupt_replies = corrupt_replies - base.corrupt_replies;
-  d.evictions = evictions - base.evictions;
-  d.failovers = failovers - base.failovers;
-  d.backoff_wait_us = backoff_wait_us - base.backoff_wait_us;
-  d.hedge_issued = hedge_issued - base.hedge_issued;
-  d.hedge_won = hedge_won - base.hedge_won;
-  d.hedge_wasted = hedge_wasted - base.hedge_wasted;
-  d.exhausted = exhausted - base.exhausted;
-  return d;
 }
 
 }  // namespace psb::replica

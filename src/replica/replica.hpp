@@ -23,8 +23,9 @@
 // specs): latencies are integer virtual microseconds, the straggler profile
 // and all fault decisions are seeded, and no wall clock or host-thread state
 // leaks in. With replicas = 1, groups = 1 and no hedging/timeout/straggling,
-// the router's completion recurrence collapses to the single-server model of
-// serve::StreamingEngine — bit-identical outcomes (asserted in replica_test).
+// the router's completion recurrence is a single server: a request at t
+// starts at max(t, busy_until) and occupies overhead + service. That is the
+// queueing model serve::StreamingEngine runs when replication is off.
 #pragma once
 
 #include <cstddef>
@@ -37,9 +38,10 @@
 namespace psb::replica {
 
 struct ReplicaOptions {
-  /// Virtual replica servers per group. 0 disables replication entirely
-  /// (callers keep their legacy single-server path); 1 is the degenerate
-  /// replicated path with nobody to fail over to.
+  /// Virtual replica servers per group. 0 means replication is not
+  /// configured: serve::StreamingEngine then serves through one unexported
+  /// replica in one group. 1 is one replica per group with nobody to fail
+  /// over to.
   std::size_t replicas = 0;
   /// Contiguous Hilbert shard ranges, each with its own replica set.
   std::size_t groups = 4;
@@ -92,11 +94,13 @@ struct ReplicaStats {
   std::uint64_t hedge_won = 0;    ///< hedge completed before the primary
   std::uint64_t hedge_wasted = 0;  ///< hedge lost, crashed or corrupted
   std::uint64_t exhausted = 0;    ///< requests returned unserved
-
-  /// Field-wise difference, for callers snapshotting a router shared across
-  /// several runs to report per-run deltas.
-  ReplicaStats minus(const ReplicaStats& base) const noexcept;
 };
+
+/// Throw InvalidArgument unless `opts` describes a router: replicas >= 1,
+/// groups >= 1, max_attempts >= 1, hedge_percentile in (0, 100],
+/// straggle_pct <= 100, straggle_multiplier >= 1 and backoff_cap_us >=
+/// backoff_base_us.
+void validate(const ReplicaOptions& opts);
 
 /// Map a Hilbert cell key from a `key_bits`-wide key space onto one of
 /// `groups` contiguous ranges (monotone in the cell key, so each group is a
@@ -106,8 +110,7 @@ std::size_t group_for_cell(std::uint64_t cell, int key_bits, std::size_t groups)
 
 class ReplicaRouter {
  public:
-  /// Requires opts.enabled(); construct the router only on the replicated
-  /// path.
+  /// Every server starts idle and healthy. Throws what validate(opts) throws.
   explicit ReplicaRouter(ReplicaOptions opts);
 
   struct Request {
@@ -143,13 +146,6 @@ class ReplicaRouter {
 
   const ReplicaOptions& options() const noexcept { return opts_; }
   const ReplicaStats& stats() const noexcept { return stats_; }
-
-  /// Latency histogram of one group's served requests.
-  const obs::Histogram& group_latency(std::size_t group) const;
-
-  /// All groups' latency histograms merged into one (Histogram::merge):
-  /// identical to a histogram fed every served request's latency directly.
-  obs::Histogram merged_latency() const;
 
  private:
   struct Server {

@@ -36,6 +36,7 @@ void validate(const StreamingOptions& opts) {
   PSB_REQUIRE(opts.buffer_capacity >= 1, "buffer_capacity must be >= 1");
   PSB_REQUIRE(opts.deadline_us > 0, "deadline_us must be > 0");
   PSB_REQUIRE(opts.service_time_scale >= 1, "service_time_scale must be >= 1");
+  if (opts.replica.enabled()) replica::validate(opts.replica);
 }
 
 /// The exact last-resort answer for a cohort: a brute-force scan of the full
@@ -58,9 +59,6 @@ StreamingEngine::StreamingEngine(const sstree::SSTree& tree, StreamingOptions op
       data_(&tree.data()),
       router_(tree.data(), opts_.cell_bits) {
   validate(opts_);
-  if (opts_.replica.enabled()) {
-    replicas_ = std::make_unique<replica::ReplicaRouter>(opts_.replica);
-  }
 }
 
 StreamingEngine::StreamingEngine(shard::ShardedEngine& sharded, const PointSet& data,
@@ -69,14 +67,10 @@ StreamingEngine::StreamingEngine(shard::ShardedEngine& sharded, const PointSet& 
   validate(opts_);
   PSB_REQUIRE(sharded.options().engine.deadline_ms == 0,
               "StreamingOptions owns deadline semantics; engine.deadline_ms must be 0");
-  if (opts_.replica.enabled()) {
-    replicas_ = std::make_unique<replica::ReplicaRouter>(opts_.replica);
-  }
 }
 
 struct StreamingEngine::FlushOutcome {
   knn::BatchResult result;
-  std::uint64_t service_us = 0;  ///< legacy single-server service window
   std::uint64_t kernel_us = 0;   ///< cost-model kernel time, pre-scaling
   std::uint64_t attempts = 1;    ///< stream.flush dispatch attempts
   bool faulted = false;
@@ -107,8 +101,6 @@ StreamingEngine::FlushOutcome StreamingEngine::dispatch(const PointSet& cohort) 
     out.result = batch_ ? batch_->run(cohort) : sharded_->run(cohort);
   }
   out.kernel_us = static_cast<std::uint64_t>(std::llround(out.result.timing.wall_ms * 1000.0));
-  out.service_us =
-      out.attempts * opts_.dispatch_overhead_us + out.kernel_us * opts_.service_time_scale;
   return out;
 }
 
@@ -135,13 +127,8 @@ std::vector<unsigned char> serialize_reply(const knn::BatchResult& result) {
 
 StreamingReport StreamingEngine::run(const ArrivalStream& stream) {
   StreamingReport report;
-  // Router counters are engine-lifetime (health persists across runs);
-  // snapshot them so the report carries this run's deltas only.
-  const replica::ReplicaStats replica_base =
-      replicas_ ? replicas_->stats() : replica::ReplicaStats{};
   // Exact-or-flagged at the entry: reject a malformed stream before any
-  // arrival is routed (a NaN cell key is undefined) or any flush moves the
-  // replica router's health state.
+  // arrival is routed (a NaN cell key is undefined).
   PSB_REQUIRE(stream.queries.size() == stream.time_us.size(),
               "stream needs exactly one arrival time per query");
   PSB_REQUIRE(std::is_sorted(stream.time_us.begin(), stream.time_us.end()),
@@ -154,11 +141,18 @@ StreamingReport StreamingEngine::run(const ArrivalStream& stream) {
                 "stream dimensionality must match the indexed dataset");
   }
 
+  // The run's one queueing model: the configured replica groups, or one
+  // replica in one group (a single server) when replication is off. Busy
+  // windows and health start fresh on every run, as the virtual clock does.
+  report.replicated = opts_.replica.enabled();
+  replica::ReplicaRouter replicas(report.replicated
+                                      ? opts_.replica
+                                      : replica::ReplicaOptions{.replicas = 1, .groups = 1});
+
   CohortBuffers buffers;
   // Completion times of dispatched queries still counted as in-flight for the
   // backpressure depth (one entry per query).
   std::priority_queue<std::uint64_t, std::vector<std::uint64_t>, std::greater<>> inflight;
-  std::uint64_t server_free = 0;
   std::uint64_t flush_seq = 0;
 
   enum class FlushKind { kFull, kDeadline, kDrain };
@@ -169,40 +163,31 @@ StreamingReport StreamingEngine::run(const ArrivalStream& stream) {
     for (const CohortBuffers::Pending& p : pend) cohort.append(stream.queries[p.arrival_index]);
 
     FlushOutcome out = dispatch(cohort);
-    std::uint64_t end = 0;
-    if (replicas_) {
-      // Replicated path: the per-attempt dispatch overhead moves into the
-      // router (every failover and hedge pays it again); service_us carries
-      // the backend cost plus any stream.flush retry overhead, so one clean
-      // attempt reproduces the single-server service window exactly — the
-      // R = 1 bit-identity the replica tests pin down.
-      const std::vector<unsigned char> reply = serialize_reply(out.result);
-      replica::ReplicaRouter::Request rq;
-      rq.group = replica::group_for_cell(cell, router_.key_bits(), opts_.replica.groups);
-      rq.now_us = now;
-      rq.service_us = (out.attempts - 1) * opts_.dispatch_overhead_us +
-                      out.kernel_us * opts_.service_time_scale;
-      rq.overhead_us = opts_.dispatch_overhead_us;
-      rq.reply = reply;
-      const replica::ReplicaRouter::Outcome oc = replicas_->dispatch(rq);
-      if (oc.served) {
-        end = oc.completion_us;
-      } else {
-        // Ladder bottom: every replica down or out of attempts. The
-        // front-end answers the cohort itself with an exact brute-force
-        // scan, flagged kDegradedFallback — late and degraded, never lost.
-        out.result = brute_force_cohort(*data_, cohort, opts_.engine.gpu);
-        out.brute_forced = true;
-        const auto brute_us =
-            static_cast<std::uint64_t>(std::llround(out.result.timing.wall_ms * 1000.0));
-        end = oc.completion_us + opts_.dispatch_overhead_us + brute_us * opts_.service_time_scale;
-      }
-      report.replica_dispatch_us.add(end - now);
-    } else {
-      const std::uint64_t start = std::max(now, server_free);
-      end = start + out.service_us;
-      server_free = end;
+    // The router adds the per-attempt dispatch overhead (every failover and
+    // hedge pays it again); service_us carries the backend cost plus any
+    // stream.flush retry overhead, so one clean attempt occupies a server
+    // for attempts * dispatch_overhead_us + kernel_us * service_time_scale.
+    const std::vector<unsigned char> reply = serialize_reply(out.result);
+    replica::ReplicaRouter::Request rq;
+    rq.group = replica::group_for_cell(cell, router_.key_bits(), replicas.options().groups);
+    rq.now_us = now;
+    rq.service_us = (out.attempts - 1) * opts_.dispatch_overhead_us +
+                    out.kernel_us * opts_.service_time_scale;
+    rq.overhead_us = opts_.dispatch_overhead_us;
+    rq.reply = reply;
+    const replica::ReplicaRouter::Outcome oc = replicas.dispatch(rq);
+    std::uint64_t end = oc.completion_us;
+    if (!oc.served) {
+      // Ladder bottom: every replica down or out of attempts. The front-end
+      // answers the cohort itself with an exact brute-force scan, flagged
+      // kDegradedFallback — late and degraded, never lost.
+      out.result = brute_force_cohort(*data_, cohort, opts_.engine.gpu);
+      out.brute_forced = true;
+      const auto brute_us =
+          static_cast<std::uint64_t>(std::llround(out.result.timing.wall_ms * 1000.0));
+      end += opts_.dispatch_overhead_us + brute_us * opts_.service_time_scale;
     }
+    if (report.replicated) report.replica_dispatch_us.add(end - now);
 
     ++flush_seq;
     ++report.flushes;
@@ -302,9 +287,8 @@ StreamingReport StreamingEngine::run(const ArrivalStream& stream) {
     reg.add("serve.exec_serialized_cycles", report.exec.serialized_cycles);
     reg.add("serve.exec_overlapped_cycles", report.exec.overlapped_cycles);
   }
-  if (replicas_) {
-    report.replicated = true;
-    report.replica = replicas_->stats().minus(replica_base);
+  if (report.replicated) {
+    report.replica = replicas.stats();
     const replica::ReplicaStats& rs = report.replica;
     if (rs.dispatches > 0) {
       reg.add("replica.dispatches", rs.dispatches);
@@ -347,8 +331,8 @@ void streaming_report_fields(obs::JsonWriter& w, const StreamingReport& report,
   w.field(pre + ".exec_serialized_cycles", report.exec.serialized_cycles);
   w.field(pre + ".exec_overlapped_cycles", report.exec.overlapped_cycles);
   if (report.replicated) {
-    // Replica fields only appear on the replicated path, so legacy exports
-    // stay byte-identical to the pre-replica schema.
+    // Replica fields only appear when replication is configured, so
+    // unreplicated exports keep the pre-replica schema byte for byte.
     const replica::ReplicaStats& rs = report.replica;
     w.field(pre + ".replica.dispatches", rs.dispatches);
     w.field(pre + ".replica.attempts", rs.attempts);

@@ -9,8 +9,12 @@
 // every latency, queue-depth and deadline statistic is a pure function of
 // (stream, options) — independent of wall clock and host thread count.
 //
-// Queueing model: a single server. A flush issued at virtual time t starts at
-// max(t, server_free) and occupies the server for
+// Queueing model: one replica::ReplicaRouter, built by every run() and
+// dropped at its end, so a reused engine serves each stream from an idle,
+// healthy fleet. It fronts opts.replica's replica groups when replication is
+// configured, and otherwise one replica in one group: a single server. A
+// flush issued at virtual time t starts at max(t, busy_until) on the server
+// the router picks and, on a clean attempt, occupies it for
 //   attempts * dispatch_overhead_us + round(wall_ms * 1000) * service_time_scale
 // microseconds; each query's latency is its cohort's completion minus its own
 // arrival. The integer service_time_scale exists for the metamorphic
@@ -71,10 +75,11 @@ struct StreamingOptions {
   std::uint64_t dispatch_overhead_us = 120;
   /// Integer multiplier on the cost-model service time (see file comment).
   std::uint64_t service_time_scale = 1;
-  /// Replicated serving (src/replica/): replica.replicas >= 1 replaces the
-  /// single virtual server with per-shard-range replica sets fronted by a
-  /// ReplicaRouter (failover, backoff, hedging). replicas = 0 (the default)
-  /// keeps the legacy single-server queueing model, byte-identically.
+  /// Replicated serving (src/replica/): replica.replicas >= 1 serves each
+  /// Hilbert shard range from its own replica set (failover, backoff,
+  /// hedging) and exports the router's accounting. replicas = 0 (the
+  /// default) serves through one unexported replica in one group; the other
+  /// replica fields are then ignored.
   replica::ReplicaOptions replica{};
 };
 
@@ -115,7 +120,7 @@ struct StreamingReport {
   /// Replicated-serving accounting; all-zero (and absent from the JSON
   /// export) when replication is off.
   bool replicated = false;
-  replica::ReplicaStats replica;        ///< this run's router-counter deltas
+  replica::ReplicaStats replica;        ///< this run's router counters
   obs::Histogram replica_dispatch_us;   ///< router dispatch latencies (per flush)
 
   obs::Histogram latency_us;  ///< answered queries only
@@ -143,6 +148,8 @@ class StreamingEngine {
 
   /// Replay the stream. Bumps the serve.* registry counters and, per the
   /// backend contract, emits per-query traces to any active obs session.
+  /// Keeps no queueing state between calls: the same stream gives the same
+  /// report on every call.
   StreamingReport run(const ArrivalStream& stream);
 
  private:
@@ -154,9 +161,6 @@ class StreamingEngine {
   shard::ShardedEngine* sharded_ = nullptr;     ///< sharded mode
   const PointSet* data_ = nullptr;
   CellRouter router_;
-  /// Present iff opts_.replica.enabled(); health/latency state persists for
-  /// the engine's lifetime (across run() calls), like a real fleet's.
-  std::unique_ptr<replica::ReplicaRouter> replicas_;
 };
 
 /// Emit a report's fields (counters, derived rates, latency histogram) into

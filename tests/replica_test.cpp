@@ -1,8 +1,9 @@
 // Contract tests for src/replica/: the group partitioner, the router's
-// failover / eviction / hedging semantics under injected faults, the R = 1
-// collapse onto the legacy single-server streaming model (bit-identity), the
-// degradation ladder's never-silent guarantee, and run-to-run determinism of
-// the replicated JSON export.
+// failover / eviction / hedging semantics under injected faults, option
+// validation at StreamingEngine construction, the bit-identity of an
+// unreplicated engine (one implicit replica) with an explicit R = 1, G = 1
+// router, the degradation ladder's never-silent guarantee, and run-to-run
+// determinism of the replicated JSON export.
 #include <algorithm>
 #include <cstdint>
 #include <string>
@@ -18,6 +19,7 @@
 #include "replica/replica.hpp"
 #include "serve/arrivals.hpp"
 #include "serve/streaming_engine.hpp"
+#include "shard/sharded_engine.hpp"
 #include "sstree/builders.hpp"
 #include "test_util.hpp"
 
@@ -76,7 +78,7 @@ TEST(ReplicaRouter, CleanDispatchMatchesSingleServerRecurrence) {
   opts.groups = 1;
   replica::ReplicaRouter router(opts);
   // One server: flush at t starts at max(t, busy) and occupies
-  // overhead + service — the legacy StreamingEngine queueing model.
+  // overhead + service — what an unreplicated StreamingEngine serves on.
   const auto oc1 = router.dispatch(plain_request(1000, 400));
   ASSERT_TRUE(oc1.served);
   EXPECT_EQ(oc1.completion_us, 1000u + 100u + 400u);
@@ -143,41 +145,6 @@ TEST(ReplicaRouter, ExhaustionReturnsUnservedNeverSilently) {
   EXPECT_EQ(router.stats().exhausted, 1u);
 }
 
-TEST(ReplicaRouter, MergedLatencyEqualsGroupConcatenation) {
-  replica::ReplicaOptions opts;
-  opts.replicas = 1;
-  opts.groups = 3;
-  replica::ReplicaRouter router(opts);
-  for (std::uint64_t i = 0; i < 12; ++i) {
-    replica::ReplicaRouter::Request rq = plain_request(i * 1000, 100 + 37 * i);
-    rq.group = i % 3;
-    ASSERT_TRUE(router.dispatch(rq).served);
-  }
-  obs::Histogram manual;
-  for (std::size_t g = 0; g < 3; ++g) manual.merge(router.group_latency(g));
-  const obs::Histogram merged = router.merged_latency();
-  EXPECT_EQ(merged.count(), manual.count());
-  EXPECT_EQ(merged.sum(), manual.sum());
-  EXPECT_EQ(merged.percentile(50), manual.percentile(50));
-  EXPECT_EQ(merged.count(), 12u);
-}
-
-TEST(ReplicaStats, MinusIsFieldWise) {
-  replica::ReplicaStats a;
-  a.dispatches = 10;
-  a.attempts = 14;
-  a.hedge_issued = 5;
-  replica::ReplicaStats b;
-  b.dispatches = 4;
-  b.attempts = 6;
-  b.hedge_issued = 2;
-  const replica::ReplicaStats d = a.minus(b);
-  EXPECT_EQ(d.dispatches, 6u);
-  EXPECT_EQ(d.attempts, 8u);
-  EXPECT_EQ(d.hedge_issued, 3u);
-  EXPECT_EQ(d.crashes, 0u);
-}
-
 // ---------------------------------------------------------------------------
 // StreamingEngine integration
 // ---------------------------------------------------------------------------
@@ -227,14 +194,16 @@ serve::StreamingOptions base_options() {
   return so;
 }
 
-/// The acceptance bit-identity: one replica, one group, no hedging, no
-/// straggling collapses the router onto the legacy single-server model —
-/// per-query outcomes and the whole legacy export must match byte for byte.
+/// The acceptance bit-identity: replicas = 0 serves through one implicit
+/// replica in one group, so an explicit R = 1, G = 1 router with no hedging
+/// and no straggling must match it — per-query outcomes and the whole
+/// unreplicated export, byte for byte, once the .replica.* block is removed.
 TEST(ReplicatedStreaming, SingleReplicaIsBitIdenticalToLegacyModel) {
   const Workload w = make_workload(42);
   ASSERT_GT(w.stream.size(), 0u);
 
   serve::StreamingOptions legacy = base_options();
+  legacy.replica.groups = 3;  // ignored while replicas = 0
   serve::StreamingEngine legacy_eng(w.built.tree, legacy);
   const serve::StreamingReport lrep = legacy_eng.run(w.stream);
 
@@ -258,8 +227,8 @@ TEST(ReplicatedStreaming, SingleReplicaIsBitIdenticalToLegacyModel) {
   EXPECT_EQ(lrep.p50_us(), rrep.p50_us());
   EXPECT_EQ(lrep.p99_us(), rrep.p99_us());
 
-  // The replicated export is the legacy export plus the .replica.* block:
-  // stripping those lines must restore the legacy bytes exactly.
+  // The replicated export is the unreplicated export plus the .replica.*
+  // block: stripping those lines must restore its bytes exactly.
   const std::string ljson = serve::streaming_report_to_json(lrep);
   const std::string rjson = serve::streaming_report_to_json(rrep);
   std::string stripped;
@@ -272,6 +241,32 @@ TEST(ReplicatedStreaming, SingleReplicaIsBitIdenticalToLegacyModel) {
     pos = eol + 1;
   }
   EXPECT_EQ(stripped, ljson);
+}
+
+/// A bad ReplicaOptions is rejected when the engine is built, before any
+/// stream is served, for both backends; replicas = 0 ignores the other
+/// replica fields.
+TEST(ReplicatedStreaming, InvalidReplicaOptionsThrowAtConstruction) {
+  const Workload w = make_workload(5);
+  shard::ShardedEngineOptions sopts;
+  sopts.num_shards = 2;
+  sopts.engine = base_options().engine;
+  shard::ShardedEngine sharded(w.data, sopts);
+
+  std::vector<serve::StreamingOptions> cases(3, base_options());
+  for (serve::StreamingOptions& so : cases) so.replica.replicas = 2;
+  cases[0].replica.hedge_percentile = 0.0;
+  cases[1].replica.max_attempts = 0;
+  cases[2].replica.backoff_cap_us = cases[2].replica.backoff_base_us - 1;
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    EXPECT_THROW(serve::StreamingEngine(w.built.tree, cases[c]), InvalidArgument)
+        << "case " << c;
+    EXPECT_THROW(serve::StreamingEngine(sharded, w.data, cases[c]), InvalidArgument)
+        << "case " << c;
+    serve::StreamingOptions off = cases[c];
+    off.replica.replicas = 0;
+    EXPECT_NO_THROW(serve::StreamingEngine(w.built.tree, off)) << "case " << c;
+  }
 }
 
 TEST(ReplicatedStreaming, DisabledReplicationExportsNoReplicaFields) {

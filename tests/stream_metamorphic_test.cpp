@@ -15,9 +15,11 @@
 //
 // Plus the determinism regression the obs export hangs off: same seed and
 // profile ⇒ byte-identical stream JSON (latency histogram included) across
-// repeated runs and across backend thread counts.
+// repeated runs of one engine and across backend thread counts, for the
+// tree-backed, replicated and sharded front-ends.
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -29,6 +31,7 @@
 #include "obs/registry.hpp"
 #include "serve/arrivals.hpp"
 #include "serve/streaming_engine.hpp"
+#include "shard/sharded_engine.hpp"
 #include "sstree/builders.hpp"
 #include "test_util.hpp"
 
@@ -224,23 +227,51 @@ TEST(StreamMetamorphicTest, JsonExportIsByteIdenticalAcrossRunsAndThreadCounts) 
   const Fixture fx(33);
   ASSERT_GT(fx.stream.size(), 0u);
 
-  std::string reference;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    serve::StreamingOptions so = base_options();
-    so.engine.num_threads = threads;
-    for (int run = 0; run < 2; ++run) {
-      serve::StreamingEngine eng(fx.built.tree, so);
-      const std::string json = serve::streaming_report_to_json(eng.run(fx.stream));
-      if (reference.empty()) {
-        reference = json;
+  // Each configuration builds one engine per thread count and serves the
+  // stream through it twice: a reused engine keeps no queueing state, so
+  // its second report repeats the first byte for byte.
+  enum class Config { kTree, kReplicated, kSharded };
+  for (const Config config : {Config::kTree, Config::kReplicated, Config::kSharded}) {
+    std::string reference;
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+      serve::StreamingOptions so = base_options();
+      so.engine.num_threads = threads;
+      if (config == Config::kReplicated) {
+        so.replica.replicas = 2;
+        so.replica.groups = 4;
+        so.replica.hedge = true;
+        so.replica.hedge_warmup = 4;
+        so.replica.straggle_pct = 10;
+      }
+      std::unique_ptr<shard::ShardedEngine> sharded;
+      std::unique_ptr<serve::StreamingEngine> eng;
+      if (config == Config::kSharded) {
+        shard::ShardedEngineOptions sopts;
+        sopts.num_shards = 4;
+        sopts.degree = 16;
+        sopts.engine = so.engine;
+        sopts.cache_capacity = 0;
+        sharded = std::make_unique<shard::ShardedEngine>(fx.data, sopts);
+        eng = std::make_unique<serve::StreamingEngine>(*sharded, fx.data, so);
       } else {
-        EXPECT_EQ(json, reference) << "threads=" << threads << " run=" << run;
+        eng = std::make_unique<serve::StreamingEngine>(fx.built.tree, so);
+      }
+      for (int run = 0; run < 2; ++run) {
+        const std::string json = serve::streaming_report_to_json(eng->run(fx.stream));
+        if (reference.empty()) {
+          reference = json;
+        } else {
+          EXPECT_EQ(json, reference) << "config=" << static_cast<int>(config)
+                                     << " threads=" << threads << " run=" << run;
+        }
       }
     }
+    // The export carries the full latency histogram — spot-check the schema.
+    EXPECT_NE(reference.find("\"schema\": \"psb.stream.v1\""), std::string::npos);
+    EXPECT_NE(reference.find("stream.latency_us.p99"), std::string::npos);
+    EXPECT_EQ(reference.find(".replica.dispatches") != std::string::npos,
+              config == Config::kReplicated);
   }
-  // The export carries the full latency histogram — spot-check the schema.
-  EXPECT_NE(reference.find("\"schema\": \"psb.stream.v1\""), std::string::npos);
-  EXPECT_NE(reference.find("stream.latency_us.p99"), std::string::npos);
 }
 
 TEST(StreamMetamorphicTest, RegistryCountersAreDeterministicAcrossRuns) {

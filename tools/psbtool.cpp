@@ -50,7 +50,8 @@ commands:
             [--deadline-ms X] [--horizon-ms X] [--capacity N] [--queue-bound N]
             [--cell-bits N] [--overhead-us N] [--diurnal-amplitude X]
             [--diurnal-period-s S] [--burst-rate X] [--burst-size N]
-            [--seed N] [--out FILE.json]
+            [--seed N] [--out FILE.json] [--snapshot 0|1 (default 1)]
+            [--layout pointer|snapshot|implicit] [--reorder 0|1]
             [--replicas R] [--replica-groups N] [--hedge 0|1] [--hedge-pct P]
             [--hedge-warmup N] [--replica-timeout-us N] [--straggle-pct P]
             [--straggle-mult M] [--replica-seed N]
@@ -271,11 +272,13 @@ engine::Algorithm algo_from_flag(const std::string& algo) {
 }
 
 /// The serving layout from --layout and --snapshot 0|1, the latter being
-/// shorthand for --layout snapshot; a non-pointer --layout wins.
-engine::NodeLayout layout_from_flags(const Args& args) {
+/// shorthand for --layout snapshot; a non-pointer --layout wins. With neither
+/// flag given, --snapshot takes `snapshot_default`.
+engine::NodeLayout layout_from_flags(const Args& args, std::size_t snapshot_default = 0) {
   const engine::NodeLayout layout = engine::parse_node_layout(args.str("layout", "pointer"));
   if (layout != engine::NodeLayout::kPointer) return layout;
-  return args.num("snapshot", 0) != 0 ? engine::NodeLayout::kSnapshot : layout;
+  const std::size_t snapshot = args.num("snapshot", args.has("layout") ? 0 : snapshot_default);
+  return snapshot != 0 ? engine::NodeLayout::kSnapshot : layout;
 }
 
 int cmd_query(const Args& args) {
@@ -417,8 +420,7 @@ int cmd_serve(const Args& args) {
   serve::StreamingOptions so;
   so.engine.algorithm = algo_from_flag(args.str("algo", "psb"));
   so.engine.gpu.k = args.num("k", 8);
-  so.engine.layout = args.num("snapshot", 1) != 0 ? engine::NodeLayout::kSnapshot
-                                                  : engine::NodeLayout::kPointer;
+  so.engine.layout = layout_from_flags(args, 1);
   so.engine.reorder_queries = args.num("reorder", 1) != 0;
   so.buffer_capacity = args.num("capacity", 32);
   so.engine.warp_queries = so.buffer_capacity;
@@ -1318,8 +1320,8 @@ int cmd_faultcamp(const Args& args) {
   // The sharded, join and streaming engines are built once per algorithm:
   // their sites kill passes, pair walks and flushes without corrupting
   // state. The batch engine is fresh every iteration (its arena sites corrupt
-  // the engine-owned arena in place), and so is the replicated front-end (a
-  // router's crash/eviction windows are engine-lifetime by design).
+  // the engine-owned arena in place), and so is the replicated front-end,
+  // though its router's crash/eviction windows already end with each run().
   std::unique_ptr<shard::ShardedEngine> sharded[kNumCampaignAlgos];
   std::unique_ptr<join::JoinEngine> joins[kNumCampaignAlgos];
   std::unique_ptr<serve::StreamingEngine> streamers[kNumCampaignAlgos];

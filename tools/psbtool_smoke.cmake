@@ -52,6 +52,16 @@ run(${PSBTOOL} join --data ${DATA} --targets ${TARGETS} --k 4 --variant single
 run_twice_identical(${WORKDIR}/smoke_serve_a.json ${WORKDIR}/smoke_serve_b.json
   ${PSBTOOL} serve --data ${DATA} --index ${INDEX} --k 4 --mode both --replicas 2
   --hedge-pct 90 --duration-s 0.25)
+# serve defaults to the snapshot arena; an explicit --layout overrides that
+# default exactly like --snapshot does.
+run(${PSBTOOL} serve --data ${DATA} --index ${INDEX} --k 4 --duration-s 0.1 --snapshot 0
+  --out ${WORKDIR}/smoke_serve_snapshot0.json)
+run(${PSBTOOL} serve --data ${DATA} --index ${INDEX} --k 4 --duration-s 0.1 --layout pointer
+  --out ${WORKDIR}/smoke_serve_pointer.json)
+run(${CMAKE_COMMAND} -E compare_files ${WORKDIR}/smoke_serve_snapshot0.json
+  ${WORKDIR}/smoke_serve_pointer.json)
+run(${PSBTOOL} serve --data ${DATA} --index ${INDEX} --k 4 --duration-s 0.1
+  --algo stackless_skip --layout implicit)
 
 # Exit-code contract. A file of garbage bytes must be rejected as corrupt
 # input (3), never parsed or crashed on; bad invocations exit 2.
