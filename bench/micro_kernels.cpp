@@ -55,6 +55,22 @@ void BM_HilbertEncode(benchmark::State& state) {
 }
 BENCHMARK(BM_HilbertEncode)->Arg(2)->Arg(16)->Arg(64);
 
+// The bulk path the builders, the shard partitioner and the query reorder
+// take: one encode_all over a 30k-point set (allknn-join's size).
+void BM_HilbertEncodeAll(benchmark::State& state) {
+  const auto dims = static_cast<std::size_t>(state.range(0));
+  const PointSet ps = dataset(dims, 30000);
+  const hilbert::Encoder enc(dims, 16);
+  for (auto _ : state) {
+    const std::vector<std::uint64_t> keys = enc.encode_all(ps);
+    benchmark::DoNotOptimize(keys.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(ps.size()));
+}
+BENCHMARK(BM_HilbertEncodeAll)->Arg(4);
+
 void BM_RadixSort(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const PointSet ps = dataset(8, n);
