@@ -62,6 +62,10 @@ run(${CMAKE_COMMAND} -E compare_files ${WORKDIR}/smoke_serve_snapshot0.json
   ${WORKDIR}/smoke_serve_pointer.json)
 run(${PSBTOOL} serve --data ${DATA} --index ${INDEX} --k 4 --duration-s 0.1
   --algo stackless_skip --layout implicit)
+# The documented serve example: serve spells the stream flags --rate and
+# --duration-s.
+run(${PSBTOOL} serve --data ${DATA} --index ${INDEX} --k 5 --mode both --rate 4000
+  --duration-s 0.1 --out ${WORKDIR}/smoke_serve_example.json)
 
 # Exit-code contract. A file of garbage bytes must be rejected as corrupt
 # input (3), never parsed or crashed on; bad invocations exit 2.
@@ -84,6 +88,19 @@ endfunction()
 expect_bad_number(--num-queries ${PSBTOOL} query --data ${DATA} --index ${INDEX} --num-queries -1)
 expect_bad_number(--k ${PSBTOOL} query --data ${DATA} --index ${INDEX} --k 4x)
 expect_bad_number(--iterations ${PSBTOOL} faultcamp --iterations 12abc)
+
+# Each command accepts only the flags it reads. Another command's spelling
+# (bench's --stream-rate/--stream-duration-s on serve) is a usage error naming
+# the flag and the command, raised before any work: no report is written.
+expect_rc(2 ${PSBTOOL} serve --data ${DATA} --index ${INDEX} --mode both --stream-rate 4000
+  --stream-duration-s 0.1 --out ${WORKDIR}/smoke_serve_unknown.json)
+if(NOT last_err MATCHES "unknown option --stream-(rate|duration-s) for serve")
+  message(FATAL_ERROR "unknown serve flag not named:\n${last_err}")
+endif()
+if(EXISTS ${WORKDIR}/smoke_serve_unknown.json)
+  message(FATAL_ERROR "serve wrote a report despite an unknown flag")
+endif()
+expect_rc(2 ${PSBTOOL} allknn --data ${DATA} --targets ${TARGETS})
 
 # A well-formed envelope of the wrong artifact type (a dataset passed as the
 # index) must also land on exit 3 via the payload-kind check — the header is
